@@ -117,7 +117,7 @@ func benchCCVariant(b *testing.B, mutate func(*CollectiveOptions)) {
 	for i := 0; i < b.N; i++ {
 		col := collective.Optimized(2)
 		mutate(col)
-		res := c.CCCoalesced(g, &CCOptions{Col: col, Compact: true})
+		res := mustRun(b, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: col, Compact: true})
 		sim = res.Run.SimMS()
 	}
 	b.ReportMetric(sim, "sim-ms")
@@ -155,7 +155,7 @@ func BenchmarkAblationNoCompact(b *testing.B) {
 	c, g := ablationCluster(b)
 	var sim float64
 	for i := 0; i < b.N; i++ {
-		res := c.CCCoalesced(g, &CCOptions{Col: collective.Optimized(2), Compact: false})
+		res := mustRun(b, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: collective.Optimized(2), Compact: false})
 		sim = res.Run.SimMS()
 	}
 	b.ReportMetric(sim, "sim-ms")
@@ -173,7 +173,7 @@ func BenchmarkAblationRDMA(b *testing.B) {
 	g := RandomGraph(100_000, 400_000, 42)
 	var sim float64
 	for i := 0; i < b.N; i++ {
-		res := c.CCCoalesced(g, OptimizedCC(2))
+		res := mustRun(b, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: collective.Optimized(2), Compact: true})
 		sim = res.Run.SimMS()
 	}
 	b.ReportMetric(sim, "sim-ms")
@@ -198,7 +198,7 @@ func BenchmarkAblationHierarchicalA2A(b *testing.B) {
 			g := RandomGraph(100_000, 400_000, 42)
 			var sim float64
 			for i := 0; i < b.N; i++ {
-				res := c.CCCoalesced(g, OptimizedCC(1))
+				res := mustRun(b, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: collective.Optimized(1), Compact: true})
 				sim = res.Run.SimMS()
 			}
 			b.ReportMetric(sim, "sim-ms")
@@ -489,7 +489,7 @@ func BenchmarkKernelMSTCoalesced(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mst.Coalesced(c.Runtime(), c.Comm(), wg, OptimizedMST(2))
+		mst.Coalesced(c.Runtime(), c.Comm(), wg, &mst.Options{Col: collective.Optimized(2), Compact: true})
 	}
 }
 
@@ -541,7 +541,7 @@ func BenchmarkListRankExperiment(b *testing.B) {
 
 func BenchmarkBFSCoalesced(b *testing.B) {
 	kernelBench(b, func(c *Cluster, g *Graph) {
-		c.BFSCoalesced(g, 0, OptimizedCollectives(2))
+		mustRun(b, c, KernelSpec{Kernel: "bfs/coalesced", Graph: g, Col: OptimizedCollectives(2)})
 	})
 }
 
@@ -554,7 +554,7 @@ func BenchmarkBFSDiameterExperiment(b *testing.B) {
 
 func BenchmarkKernelCCMerge(b *testing.B) {
 	kernelBench(b, func(c *Cluster, g *Graph) {
-		c.CCMerge(g)
+		mustRun(b, c, KernelSpec{Kernel: "cc/merge-cgm", Graph: g})
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"pgasgraph"
 	"pgasgraph/internal/graph"
@@ -22,7 +23,7 @@ import (
 
 func main() {
 	algo := flag.String("algo", "coalesced",
-		"algorithm: naive | coalesced | sv | fastsv | lt-prs | lt-pus | lt-ers")
+		"algorithm: naive | coalesced | sv | fastsv | lt-prs | lt-pus | lt-ers | merge-cgm")
 	nodes := flag.Int("nodes", 16, "cluster nodes")
 	threads := flag.Int("threads", 8, "threads per node")
 	tprime := flag.Int("tprime", 2, "virtual threads t'")
@@ -64,9 +65,14 @@ func main() {
 		fatal(err)
 	}
 
-	opts := pgasgraph.OptimizedCC(*tprime)
+	spec := pgasgraph.KernelSpec{Kernel: "cc/" + *algo, Graph: g,
+		Col: pgasgraph.OptimizedCollectives(*tprime), Compact: true}
 	if *base {
-		opts = &pgasgraph.CCOptions{Col: pgasgraph.BaseCollectives()}
+		spec.Col, spec.Compact = pgasgraph.BaseCollectives(), false
+	}
+	if !slices.Contains(pgasgraph.Kernels(), spec.Kernel) {
+		fmt.Fprintf(os.Stderr, "ccrun: unknown algorithm %q\n", *algo)
+		os.Exit(2)
 	}
 	var collector *trace.Collector
 	if *profile {
@@ -74,25 +80,9 @@ func main() {
 		cluster.Comm().SetTracer(collector)
 	}
 
-	var res *pgasgraph.CCResult
-	switch *algo {
-	case "naive":
-		res = cluster.CCNaive(g)
-	case "coalesced":
-		res = cluster.CCCoalesced(g, opts)
-	case "sv":
-		res = cluster.CCSV(g, opts)
-	case "fastsv":
-		res = cluster.CCFastSV(g, opts)
-	case "lt-prs":
-		res = cluster.CCLiuTarjan(g, pgasgraph.LTPRS, opts)
-	case "lt-pus":
-		res = cluster.CCLiuTarjan(g, pgasgraph.LTPUS, opts)
-	case "lt-ers":
-		res = cluster.CCLiuTarjan(g, pgasgraph.LTERS, opts)
-	default:
-		fmt.Fprintf(os.Stderr, "ccrun: unknown algorithm %q\n", *algo)
-		os.Exit(2)
+	res, err := cluster.Run(spec)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("input:       %v\n", g)

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"pgasgraph"
 	"pgasgraph/internal/graph"
@@ -61,15 +62,15 @@ func main() {
 		fatal(err)
 	}
 
-	var res *pgasgraph.MSFResult
-	switch *algo {
-	case "naive":
-		res = cluster.MSFNaive(g)
-	case "coalesced":
-		res = cluster.MSFCoalesced(g, pgasgraph.OptimizedMST(*tprime))
-	default:
+	spec := pgasgraph.KernelSpec{Kernel: "mst/" + *algo, Graph: g,
+		Col: pgasgraph.OptimizedCollectives(*tprime), Compact: true}
+	if !slices.Contains(pgasgraph.Kernels(), spec.Kernel) {
 		fmt.Fprintf(os.Stderr, "mstrun: unknown algorithm %q\n", *algo)
 		os.Exit(2)
+	}
+	res, err := cluster.Run(spec)
+	if err != nil {
+		fatal(err)
 	}
 
 	fmt.Printf("input:        %v\n", g)

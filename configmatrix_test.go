@@ -53,13 +53,14 @@ func TestKernelsAcrossMachineConfigs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res := c.CCCoalesced(g, OptimizedCC(2)); !SamePartition(wantCC, res.Labels) {
+			col := OptimizedCollectives(2)
+			if res := mustRun(t, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: col, Compact: true}); !SamePartition(wantCC, res.Labels) {
 				t.Fatal("CC wrong")
 			}
-			if res := c.MSFCoalesced(wg, OptimizedMST(2)); res.Weight != wantMSF.Weight {
+			if res := mustRun(t, c, KernelSpec{Kernel: "mst/coalesced", Graph: wg, Col: col, Compact: true}); res.Weight != wantMSF.Weight {
 				t.Fatal("MSF wrong")
 			}
-			if res := c.BFSCoalesced(g, 3, OptimizedCollectives(2)); !int64sEqual(res.Dist, wantBFS) {
+			if res := mustRun(t, c, KernelSpec{Kernel: "bfs/coalesced", Graph: g, Src: 3, Col: col}); !int64sEqual(res.Dist, wantBFS) {
 				t.Fatal("BFS wrong")
 			}
 			if res := c.SSSPDeltaStepping(wg, 3, 0, OptimizedCollectives(2)); !int64sEqual(res.Dist, wantSSSP) {
@@ -97,7 +98,7 @@ func TestSimulatedTimeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.CCCoalesced(g, OptimizedCC(2)).Run.SimNS
+		return mustRun(t, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: OptimizedCollectives(2), Compact: true}).Run.SimNS
 	}
 	a, b := run(), run()
 	if a != b {
@@ -120,7 +121,7 @@ func TestPagingSlowsSimulatedTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := c.CCNaive(g)
+		res := mustRun(t, c, KernelSpec{Kernel: "cc/naive", Graph: g})
 		if !SamePartition(SequentialCC(g), res.Labels) {
 			t.Fatal("paging changed answers")
 		}

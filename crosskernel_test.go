@@ -2,6 +2,8 @@ package pgasgraph
 
 import (
 	"testing"
+
+	"pgasgraph/internal/cc"
 )
 
 // TestCrossKernelConsistency runs every public kernel on one shared input
@@ -32,21 +34,21 @@ func TestCrossKernelConsistency(t *testing.T) {
 		wg.W[i] = uint32(1 + (i*2654435761)%1000) // >= 1, deterministic
 	}
 
-	cc := c.CCCoalesced(g, OptimizedCC(2))
+	comps := mustRun(t, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: OptimizedCollectives(2), Compact: true})
 	sf := c.SpanningForest(g, OptimizedCC(2))
-	msf := c.MSFCoalesced(wg, OptimizedMST(2))
+	msf := mustRun(t, c, KernelSpec{Kernel: "mst/coalesced", Graph: wg, Col: OptimizedCollectives(2), Compact: true})
 	misRes := c.MISLuby(g, OptimizedCollectives(2))
 
 	// CC vs BFS reachability, per component representative.
 	reps := map[int64]bool{}
-	for _, l := range cc.Labels {
+	for _, l := range comps.Labels {
 		reps[l] = true
 	}
 	for rep := range reps {
-		dist := c.BFSCoalesced(g, rep, OptimizedCollectives(2))
+		dist := mustRun(t, c, KernelSpec{Kernel: "bfs/coalesced", Graph: g, Src: rep, Col: OptimizedCollectives(2)})
 		for v := int64(0); v < g.N; v++ {
 			reached := dist.Dist[v] != BFSUnreached
-			sameComp := cc.Labels[v] == cc.Labels[rep]
+			sameComp := comps.Labels[v] == comps.Labels[rep]
 			if reached != sameComp {
 				t.Fatalf("BFS from %d and CC disagree at vertex %d", rep, v)
 			}
@@ -54,11 +56,11 @@ func TestCrossKernelConsistency(t *testing.T) {
 	}
 
 	// Spanning forest structure.
-	if int64(len(sf.Edges)) != g.N-cc.Components {
-		t.Fatalf("forest edges %d != n - components %d", len(sf.Edges), g.N-cc.Components)
+	if int64(len(sf.Edges)) != g.N-comps.Components {
+		t.Fatalf("forest edges %d != n - components %d", len(sf.Edges), g.N-comps.Components)
 	}
 	for _, e := range sf.Edges {
-		if cc.Labels[g.U[e]] != cc.Labels[g.V[e]] {
+		if comps.Labels[g.U[e]] != comps.Labels[g.V[e]] {
 			t.Fatalf("forest edge %d crosses components", e)
 		}
 	}
@@ -71,7 +73,7 @@ func TestCrossKernelConsistency(t *testing.T) {
 		forest.V = append(forest.V, g.V[e])
 	}
 	ts := c.EulerTour(forest, OptimizedCollectives(2))
-	if !SamePartition(ts.Root, cc.Labels) {
+	if !SamePartition(ts.Root, comps.Labels) {
 		t.Fatal("Euler-tour roots disagree with CC")
 	}
 	for v := int64(0); v < g.N; v++ {
@@ -87,8 +89,8 @@ func TestCrossKernelConsistency(t *testing.T) {
 
 	// SSSP vs BFS: weights >= 1 imply dist_w >= dist_hops, with equal
 	// reachability.
-	rep := cc.Labels[0]
-	hops := c.BFSCoalesced(g, rep, OptimizedCollectives(2))
+	rep := comps.Labels[0]
+	hops := mustRun(t, c, KernelSpec{Kernel: "bfs/coalesced", Graph: g, Src: rep, Col: OptimizedCollectives(2)})
 	weighted := c.SSSPDeltaStepping(wg, rep, 0, OptimizedCollectives(2))
 	for v := int64(0); v < g.N; v++ {
 		hReached := hops.Dist[v] != BFSUnreached
@@ -111,7 +113,7 @@ func TestCrossKernelConsistency(t *testing.T) {
 	if msf.Weight != Kruskal(wg).Weight {
 		t.Fatal("MSF weight differs from Kruskal")
 	}
-	if int64(len(msf.Edges)) != g.N-cc.Components {
+	if int64(len(msf.Edges)) != g.N-comps.Components {
 		t.Fatal("MSF edge count inconsistent with components")
 	}
 }
@@ -120,8 +122,8 @@ func TestCrossKernelConsistency(t *testing.T) {
 // wall at the public surface: on every partition scheme, every CC kernel
 // (Bader-Cong/Coalesced, SV, FastSV, and each Liu-Tarjan variant) must
 // produce bit-identical canonical labels — both dispatched by name
-// through Cluster.Run and via the direct methods — and the labels must
-// not depend on the scheme either.
+// through Cluster.Run and called directly on the cluster's runtime — and
+// the labels must not depend on the scheme either.
 func TestCCFamilyAcrossSchemes(t *testing.T) {
 	g := Disjoint3(t)
 	rmat := PermuteVertices(RMATGraph(8, 500, 0.45, 0.25, 0.15, 0.15, 17), 5)
@@ -156,14 +158,20 @@ func TestCCFamilyAcrossSchemes(t *testing.T) {
 			}
 			kernels := []struct {
 				name string
-				run  func(c *Cluster) *CCResult
+				run  func(c *Cluster) *cc.Result
 			}{
-				{"coalesced", func(c *Cluster) *CCResult { return c.CCCoalesced(tg.g, OptimizedCC(2)) }},
-				{"sv", func(c *Cluster) *CCResult { return c.CCSV(tg.g, OptimizedCC(2)) }},
-				{"fastsv", func(c *Cluster) *CCResult { return c.CCFastSV(tg.g, OptimizedCC(2)) }},
-				{"lt-prs", func(c *Cluster) *CCResult { return c.CCLiuTarjan(tg.g, LTPRS, OptimizedCC(2)) }},
-				{"lt-pus", func(c *Cluster) *CCResult { return c.CCLiuTarjan(tg.g, LTPUS, OptimizedCC(2)) }},
-				{"lt-ers", func(c *Cluster) *CCResult { return c.CCLiuTarjan(tg.g, LTERS, OptimizedCC(2)) }},
+				{"coalesced", func(c *Cluster) *cc.Result { return cc.Coalesced(c.Runtime(), c.Comm(), tg.g, OptimizedCC(2)) }},
+				{"sv", func(c *Cluster) *cc.Result { return cc.SV(c.Runtime(), c.Comm(), tg.g, OptimizedCC(2)) }},
+				{"fastsv", func(c *Cluster) *cc.Result { return cc.FastSV(c.Runtime(), c.Comm(), tg.g, OptimizedCC(2)) }},
+				{"lt-prs", func(c *Cluster) *cc.Result {
+					return cc.LiuTarjan(c.Runtime(), c.Comm(), tg.g, cc.LTPRS, OptimizedCC(2))
+				}},
+				{"lt-pus", func(c *Cluster) *cc.Result {
+					return cc.LiuTarjan(c.Runtime(), c.Comm(), tg.g, cc.LTPUS, OptimizedCC(2))
+				}},
+				{"lt-ers", func(c *Cluster) *cc.Result {
+					return cc.LiuTarjan(c.Runtime(), c.Comm(), tg.g, cc.LTERS, OptimizedCC(2))
+				}},
 			}
 			for _, k := range kernels {
 				res := k.run(newCluster())

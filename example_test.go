@@ -17,35 +17,50 @@ func Example() {
 		panic(err)
 	}
 	g := pgasgraph.RandomGraph(10_000, 40_000, 42)
-	res := cluster.CCCoalesced(g, pgasgraph.OptimizedCC(2))
+	res, err := cluster.Run(pgasgraph.KernelSpec{
+		Kernel: "cc/coalesced", Graph: g,
+		Col: pgasgraph.OptimizedCollectives(2), Compact: true,
+	})
+	if err != nil {
+		panic(err)
+	}
 	ok := pgasgraph.SamePartition(res.Labels, pgasgraph.SequentialCC(g))
 	fmt.Println(res.Components, ok)
 	// Output: 4 true
 }
 
-// ExampleCluster_MSFCoalesced shows the lock-free distributed Borůvka and
-// its exact agreement with sequential Kruskal.
-func ExampleCluster_MSFCoalesced() {
+// ExampleCluster_Run_msf shows the lock-free distributed Borůvka and its
+// exact agreement with sequential Kruskal.
+func ExampleCluster_Run_msf() {
 	cfg := pgasgraph.PaperCluster()
 	cfg.Nodes = 4
 	cfg.ThreadsPerNode = 2
 	cluster, _ := pgasgraph.NewCluster(cfg)
 	g := pgasgraph.WithRandomWeights(pgasgraph.RandomGraph(5_000, 20_000, 7), 8)
-	msf := cluster.MSFCoalesced(g, pgasgraph.OptimizedMST(2))
+	msf, err := cluster.Run(pgasgraph.KernelSpec{
+		Kernel: "mst/coalesced", Graph: g,
+		Col: pgasgraph.OptimizedCollectives(2), Compact: true,
+	})
+	if err != nil {
+		panic(err)
+	}
 	kruskal := pgasgraph.Kruskal(g)
 	fmt.Println(len(msf.Edges) == len(kruskal.Edges), msf.Weight == kruskal.Weight)
 	// Output: true true
 }
 
-// ExampleCluster_BFS shows hop distances from a source vertex.
-func ExampleCluster_BFSCoalesced() {
+// ExampleCluster_Run_bfs shows hop distances from a source vertex.
+func ExampleCluster_Run_bfs() {
 	cfg := pgasgraph.PaperCluster()
 	cfg.Nodes = 2
 	cfg.ThreadsPerNode = 2
 	cluster, _ := pgasgraph.NewCluster(cfg)
 	// Path 0-1-2-3.
 	g := &pgasgraph.Graph{N: 4, U: []int32{0, 1, 2}, V: []int32{1, 2, 3}}
-	res := cluster.BFSCoalesced(g, 0, nil)
+	res, err := cluster.Run(pgasgraph.KernelSpec{Kernel: "bfs/coalesced", Graph: g, Src: 0})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(res.Dist)
 	// Output: [0 1 2 3]
 }

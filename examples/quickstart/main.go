@@ -29,14 +29,23 @@ func main() {
 	fmt.Printf("input: %v on %d threads\n", g, cluster.Threads())
 
 	// The naive translation: every irregular access is one remote op.
-	naive := cluster.CCNaive(g)
+	naive, err := cluster.Run(pgasgraph.KernelSpec{Kernel: "cc/naive", Graph: g})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("naive CC-UPC:    %8.1f simulated ms, %d components, %d iterations\n",
 		naive.Run.SimMS(), naive.Components, naive.Iterations)
 
 	// The paper's optimized implementation: GetD/SetDMin collectives,
 	// compact + offload + circular + localcpy + id, t' = 2 virtual
 	// threads per thread.
-	opt := cluster.CCCoalesced(g, pgasgraph.OptimizedCC(2))
+	opt, err := cluster.Run(pgasgraph.KernelSpec{
+		Kernel: "cc/coalesced", Graph: g,
+		Col: pgasgraph.OptimizedCollectives(2), Compact: true,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("optimized CC:    %8.1f simulated ms, %d components, %d iterations\n",
 		opt.Run.SimMS(), opt.Components, opt.Iterations)
 

@@ -37,13 +37,19 @@ func main() {
 		{"social network", social},
 		{fmt.Sprintf("%dx%d mesh", side, side), mesh},
 	} {
-		res := cluster.BFSCoalesced(in.g, 0, opts)
+		res, err := cluster.Run(pgasgraph.KernelSpec{Kernel: "bfs/coalesced", Graph: in.g, Col: opts})
+		if err != nil {
+			log.Fatal(err)
+		}
 		if want := pgasgraph.SequentialBFS(in.g, 0); !equal(res.Dist, want) {
 			log.Fatalf("BUG: %s distances disagree with sequential BFS", in.name)
 		}
-		cc := cluster.CCCoalesced(in.g, pgasgraph.OptimizedCC(2))
+		cc, err := cluster.Run(pgasgraph.KernelSpec{Kernel: "cc/coalesced", Graph: in.g, Col: opts, Compact: true})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%-16s n=%-8d BFS: %7.1f ms in %4d levels | CC: %6.1f ms in %d iterations\n",
-			in.name, in.g.N, res.Run.SimMS(), res.Levels, cc.Run.SimMS(), cc.Iterations)
+			in.name, in.g.N, res.Run.SimMS(), res.Iterations, cc.Run.SimMS(), cc.Iterations)
 
 		if in.g == social {
 			printSeparation(res.Dist)

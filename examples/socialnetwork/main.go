@@ -39,10 +39,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := pgasgraph.OptimizedCC(2)
+	spec := pgasgraph.KernelSpec{Kernel: "cc/coalesced", Col: pgasgraph.OptimizedCollectives(2), Compact: true}
 
-	resSocial := cluster.CCCoalesced(social, opts)
-	resUniform := cluster.CCCoalesced(uniform, opts)
+	spec.Graph = social
+	resSocial, err := cluster.Run(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	spec.Graph = uniform
+	resUniform, err := cluster.Run(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("\ncommunities (connected components): %d\n", resSocial.Components)
 	fmt.Printf("hybrid graph:  %8.1f simulated ms (%d iterations)\n",

@@ -31,7 +31,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res := cluster.CCCoalesced(g, pgasgraph.OptimizedCC(tp))
+		res, err := cluster.Run(pgasgraph.KernelSpec{
+			Kernel: "cc/coalesced", Graph: g, Col: pgasgraph.OptimizedCollectives(tp), Compact: true,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		marker := ""
 		if bestTP == 0 || res.Run.SimNS < bestTPNS {
 			bestTP, bestTPNS = tp, res.Run.SimNS
@@ -55,7 +60,12 @@ func main() {
 		if tp < 1 {
 			tp = 1
 		}
-		res := cluster.CCCoalesced(g, pgasgraph.OptimizedCC(tp))
+		res, err := cluster.Run(pgasgraph.KernelSpec{
+			Kernel: "cc/coalesced", Graph: g, Col: pgasgraph.OptimizedCollectives(tp), Compact: true,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
 		marker := ""
 		if bestT == 0 || res.Run.SimNS < bestTNS {
 			bestT, bestTNS = tpn, res.Run.SimNS

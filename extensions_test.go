@@ -56,13 +56,13 @@ func TestBFSAPI(t *testing.T) {
 	g := HybridGraph(600, 1800, 4)
 	want := SequentialBFS(g, 3)
 
-	res := c.BFSCoalesced(g, 3, OptimizedCollectives(2))
+	res := mustRun(t, c, KernelSpec{Kernel: "bfs/coalesced", Graph: g, Src: 3, Col: OptimizedCollectives(2)})
 	for i := range want {
 		if res.Dist[i] != want[i] {
 			t.Fatalf("BFS dist[%d] = %d, want %d", i, res.Dist[i], want[i])
 		}
 	}
-	naive := c.BFSNaive(g, 3)
+	naive := mustRun(t, c, KernelSpec{Kernel: "bfs/naive", Graph: g, Src: 3})
 	for i := range want {
 		if naive.Dist[i] != want[i] {
 			t.Fatalf("naive BFS dist[%d] wrong", i)
@@ -118,7 +118,7 @@ func TestEulerTourAPI(t *testing.T) {
 func TestCCMergeAPI(t *testing.T) {
 	c := smallCluster(t)
 	g := RandomGraph(400, 1000, 8)
-	res := c.CCMerge(g)
+	res := mustRun(t, c, KernelSpec{Kernel: "cc/merge-cgm", Graph: g})
 	if !SamePartition(SequentialCC(g), res.Labels) {
 		t.Fatal("merge CC labels wrong")
 	}

@@ -51,6 +51,11 @@ const inf = int64(math.MaxInt64)
 
 // TarjanVishkin computes the decomposition of g. opts configures the
 // collectives of every distributed phase (nil for defaults).
+//
+// Recoverable state (pgas.Registrar): none. Tarjan-Vishkin chains four
+// sub-kernels whose outputs feed each other through host-side staging;
+// no single superstep boundary captures a resumable whole-pipeline state.
+// After an eviction BCC recovers by full deterministic re-execution.
 func TarjanVishkin(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *collective.Options) *Result {
 	n := g.N
 	m := g.M()

@@ -104,6 +104,25 @@ func finish(d *pgas.SharedArray, iters int, run *pgas.Result) *Result {
 	}
 }
 
+// Recoverable state (pgas.Registrar): the label kernels register their D
+// array under the Ckpt*D names declared beside each entry point (the
+// Liu-Tarjan variants derive one per variant; see LTVariant.ckptName), so
+// a checkpointing supervisor resumes them from the last committed
+// superstep boundary after an eviction. They qualify because D is
+// monotone (labels only decrease from the identity fill) and every
+// iteration rescans the full edge list, so any quiesced intermediate
+// labeling converges to the same answer — including a restored snapshot
+// re-blocked over fewer threads. The per-entry-point names keep snapshots
+// from different kernels in one supervised body from contaminating each
+// other. MergeCGM, SpanningTree, and Bipartite register nothing: CGM merge
+// rounds accumulate edges in host-side slices and the tree/bipartite
+// kernels carry parent/side state whose consistency spans barriers, none
+// of which survives a cut — they recover by deterministic re-execution
+// instead.
+
+// CkptNaiveD names the D array Naive registers for checkpointing.
+const CkptNaiveD = "cc.naive.D"
+
 // Naive runs the literal translation of the shared-memory CC code: every
 // irregular access is an individual one-sided operation. With a
 // single-node runtime this is the paper's CC-SMP baseline; with a
@@ -173,6 +192,9 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 	})
 	return finish(d, iterations, run)
 }
+
+// CkptCoalescedD names the D array Coalesced registers for checkpointing.
+const CkptCoalescedD = "cc.coalesced.D"
 
 // Coalesced runs CC rewritten with the collectives: grafting fetches both
 // endpoint labels with one GetD and hooks with one SetDMin; short-cutting
@@ -344,6 +366,9 @@ func shortcut(th *pgas.Thread, comm *collective.Comm, d *pgas.SharedArray,
 		}
 	}
 }
+
+// CkptSVD names the D array SV registers for checkpointing.
+const CkptSVD = "cc.sv.D"
 
 // SV runs the Shiloach-Vishkin algorithm rewritten with collectives: per
 // iteration one grandparent fetch, conditional min-hooks, and a single

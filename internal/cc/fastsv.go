@@ -25,6 +25,9 @@ func probeRound(th *pgas.Thread, d *pgas.SharedArray, kernel string, round int) 
 	}
 }
 
+// CkptFastSVD names the D array FastSV registers for checkpointing.
+const CkptFastSVD = "cc.fastsv.D"
+
 // FastSV runs the FastSV algorithm (Zhang, Azad, Hu): Shiloach-Vishkin
 // with stochastic and aggressive hooking on grandparent values plus a
 // shortcut every round, converging in noticeably fewer supersteps than

@@ -8,6 +8,10 @@ import (
 	"pgasgraph/internal/sim"
 )
 
+// CkptIncrementalD names the resident labeling Incremental re-registers
+// for checkpointing.
+const CkptIncrementalD = "cc.incremental.D"
+
 // Incremental updates a resident component labeling for newly inserted
 // edges without rescanning the old graph. d must hold a *converged*
 // labeling: every entry is the smallest vertex id of its component (the

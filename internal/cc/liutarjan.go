@@ -73,7 +73,7 @@ func (v LTVariant) ckptName() string { return "cc." + v.String() + ".D" }
 // labels decrease monotonically and the terminal state is the same
 // component-minimum rooted stars as Coalesced/SV/FastSV — bit-identical
 // labels. An unknown variant panics with a classified misuse error
-// (LiuTarjanE returns it).
+// (pgas.Recover returns it as an error).
 func LiuTarjan(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, v LTVariant, opts *Options) *Result {
 	extended, rootGated := v.rules()
 	kernel := "cc/" + v.String()

@@ -20,6 +20,12 @@ const maxRounds = 128
 //
 // The offload optimization does not apply (no list location is constant),
 // so it is force-disabled.
+//
+// Recoverable state (pgas.Registrar): none. Wyllie's rank and next arrays
+// must advance in lock step — restoring a cut where rank has absorbed a
+// jump that next has not (or vice versa) double-counts or loses distance.
+// After an eviction list ranking recovers by full deterministic
+// re-execution.
 func Wyllie(rt *pgas.Runtime, comm *collective.Comm, l *List, colOpts *collective.Options) *Result {
 	col := sanitize(colOpts)
 	s := rt.NewSharedArray("S", l.N)

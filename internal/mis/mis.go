@@ -57,6 +57,12 @@ func priority(round int, v int64) uint64 {
 
 // Luby runs the distributed algorithm. Self-loops exclude their vertex
 // from the set (it is adjacent to itself) without blocking termination.
+//
+// Recoverable state (pgas.Registrar): none. Luby's per-round random
+// priorities and the in/out/undecided partition are coupled within a
+// round; a snapshot cut between the draw and the resolution is not a
+// state the algorithm ever quiesces in. After an eviction MIS recovers by
+// full deterministic re-execution.
 func Luby(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, colOpts *collective.Options) *Result {
 	if g.N >= 1<<20<<20 {
 		panic("mis: vertex ids overflow priority packing")

@@ -216,6 +216,12 @@ func Naive(rt *pgas.Runtime, g *graph.Graph) *Result {
 // Like cc.Coalesced, the graft gather's request vector is identical every
 // iteration when compaction is off, so that GetD runs through a reused
 // collective.Plan — phase 1 of Algorithm 2 paid once per run.
+//
+// Recoverable state (pgas.Registrar): none. Borůvka rounds accumulate
+// chosen edges in host-side slices outside any shared array; a restored
+// component labeling without the matching edge set would double-pick or
+// drop tree edges. After an eviction MST recovers by full deterministic
+// re-execution.
 func Coalesced(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, opts *Options) *Result {
 	checkInput(g)
 	d := rt.NewSharedArray("D", g.N)

@@ -168,7 +168,7 @@ func Run(rt *pgas.Runtime, cfg *Config, body Body) (*Report, error) {
 }
 
 // runBody executes one attempt, converting classified panics (a poisoned
-// barrier unwinding out of a non-hardened kernel, an EvictionError) into
+// barrier unwinding out of a kernel, an EvictionError) into
 // error returns. Unclassified panics — kernel bugs — propagate.
 func runBody(rt *pgas.Runtime, comm *collective.Comm, body Body) (err error) {
 	defer pgas.Recover(&err)

@@ -39,11 +39,7 @@ func superviseCC(t *testing.T, g *graph.Graph, ccfg pgas.ChaosConfig, rcfg *reco
 	rt.ArmChaos(ccfg)
 	var labels []int64
 	rep, err := recovery.Run(rt, rcfg, func(rt *pgas.Runtime, comm *collective.Comm) error {
-		res, err := cc.CoalescedE(rt, comm, g, nil)
-		if err != nil {
-			return err
-		}
-		labels = res.Labels
+		labels = cc.Coalesced(rt, comm, g, nil).Labels
 		return nil
 	})
 	return labels, rep, err
@@ -143,8 +139,8 @@ func TestRecoverBudgets(t *testing.T) {
 	rt.ArmChaos(killChaos(1, 0.01))         // vicious: every attempt loses threads
 	rcfg := &recovery.Config{MinThreads: 8} // any eviction is fatal
 	rep, err := recovery.Run(rt, rcfg, func(rt *pgas.Runtime, comm *collective.Comm) error {
-		_, err := cc.CoalescedE(rt, comm, g, nil)
-		return err
+		cc.Coalesced(rt, comm, g, nil)
+		return nil
 	})
 	if err == nil {
 		t.Fatal("0.01 kill rate never evicted a thread")

@@ -136,6 +136,9 @@ var registry = []kernelEntry{
 	{"cc/naive", false, true, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
 		return ccResult(spec.Kernel, cc.Naive(rt, spec.Graph))
 	}},
+	{"cc/merge-cgm", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
+		return ccResult(spec.Kernel, cc.MergeCGM(rt, spec.Graph))
+	}},
 	{"spanning-forest", false, false, func(rt *pgas.Runtime, comm *collective.Comm, spec *KernelSpec) *KernelResult {
 		sf := cc.SpanningTree(rt, comm, spec.Graph, ccOpts(spec))
 		forest := forestGraph(spec.Graph, sf.Edges)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"testing"
 
 	"pgasgraph/internal/cc"
@@ -75,6 +76,82 @@ func TestRunKernelMatchesDirect(t *testing.T) {
 		t.Fatalf("mst dispatch diverged: weight %d vs %d, sim %v vs %v",
 			mres.Weight, mdirect.Weight, mres.Run.SimNS, mdirect.Run.SimNS)
 	}
+
+	// And the host-merging CGM kernel, which takes no options.
+	rt5, err := pgas.New(testMachine(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gres, err := RunKernel(rt5, collective.NewComm(rt5), KernelSpec{Kernel: "cc/merge-cgm", Graph: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt6, err := pgas.New(testMachine(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gdirect := cc.MergeCGM(rt6, g)
+	if gres.Components != gdirect.Components || gres.Run.SimNS != gdirect.Run.SimNS {
+		t.Fatalf("merge-cgm dispatch diverged: components %d vs %d, sim %v vs %v",
+			gres.Components, gdirect.Components, gres.Run.SimNS, gdirect.Run.SimNS)
+	}
+	for i := range gdirect.Labels {
+		if gres.Labels[i] != gdirect.Labels[i] {
+			t.Fatalf("merge-cgm label[%d]: dispatched %d, direct %d", i, gres.Labels[i], gdirect.Labels[i])
+		}
+	}
+}
+
+// TestRunKernelClassifiesEvictions runs every registry kernel on
+// runtimes armed to evict threads at fault points throughout the run:
+// RunKernel must hand every eviction back as a classified error — never a
+// panic — and every kernel must be evicted under at least one seed.
+func TestRunKernelClassifiesEvictions(t *testing.T) {
+	g := graph.Hybrid(200, 500, 0xE71C)
+	wg := graph.WithRandomWeights(g, 0xE71D)
+	for i, name := range Kernels() {
+		spec := KernelSpec{Kernel: name, Graph: g}
+		if registry[i].weighted {
+			spec.Graph = wg
+		}
+		evicted := false
+		for seed := uint64(1); seed <= 8; seed++ {
+			rt, err := pgas.New(testMachine(2, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt.ArmChaos(pgas.ChaosConfig{Seed: seed, KillRate: 0.05, MaxAttempts: 8})
+			panicked := true
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s seed %d: panicked under eviction: %v", name, seed, r)
+					}
+				}()
+				_, err = RunKernel(rt, collective.NewComm(rt), spec)
+				panicked = false
+			}()
+			if panicked {
+				evicted = true
+				continue
+			}
+			kills := rt.ChaosStats().Kills
+			if err == nil {
+				if kills > 0 {
+					t.Errorf("%s seed %d: %d threads killed but the run succeeded", name, seed, kills)
+				}
+				continue
+			}
+			evicted = true
+			var ev *pgas.EvictionError
+			if _, ok := pgas.Classified(err); !ok && !errors.As(err, &ev) {
+				t.Errorf("%s seed %d: unclassified error %v", name, seed, err)
+			}
+		}
+		if !evicted {
+			t.Errorf("%s: no seed evicted a thread; raise the kill rate", name)
+		}
+	}
 }
 
 // TestFastFamilyDispatchMatchesDirect pins dispatch fidelity for the
@@ -137,6 +214,7 @@ func TestRacyOps(t *testing.T) {
 		"cc/lt-prs":    false,
 		"cc/lt-pus":    false,
 		"cc/lt-ers":    false,
+		"cc/merge-cgm": false,
 	}
 	for name, racy := range want {
 		if RacyOps(name) != racy {

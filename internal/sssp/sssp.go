@@ -119,6 +119,12 @@ func DefaultDelta(g *graph.Graph) int64 {
 // bucket width (<= 0 selects DefaultDelta). Each bucket phase repeatedly
 // relaxes light edges (w <= delta) of the bucket's vertices until it
 // drains, then relaxes heavy edges of everything the phase removed.
+//
+// Recoverable state (pgas.Registrar): none. Delta-stepping's tentative
+// distances are monotone, but the bucket structure is derived state the
+// loop would re-enter empty after a restore — the scan finds no bucket to
+// settle and terminates with unrelaxed vertices. After an eviction SSSP
+// recovers by full deterministic re-execution.
 func DeltaStepping(rt *pgas.Runtime, comm *collective.Comm, g *graph.Graph, src int64, delta int64, colOpts *collective.Options) *Result {
 	if !g.Weighted() {
 		panic("sssp: input graph is unweighted")

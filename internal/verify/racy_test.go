@@ -26,8 +26,8 @@ func TestRacyOpsDerivedFromRegistry(t *testing.T) {
 			t.Errorf("check %s: RacyOps = %v, registry declares %v", c.Name, c.RacyOps, serve.RacyOps(c.Name))
 		}
 	}
-	if covered < 7 {
-		t.Errorf("only %d battery checks share a registry kernel name; expected the CC family + naive", covered)
+	if covered < 8 {
+		t.Errorf("only %d battery checks share a registry kernel name; expected the CC family, naive and merge-cgm", covered)
 	}
 }
 

@@ -16,7 +16,10 @@
 //
 //	cluster, err := pgasgraph.NewCluster(pgasgraph.PaperCluster())
 //	g := pgasgraph.RandomGraph(1_000_000, 4_000_000, 42)
-//	res := cluster.CCCoalesced(g, pgasgraph.OptimizedCC(8))
+//	res, err := cluster.Run(pgasgraph.KernelSpec{
+//	    Kernel: "cc/coalesced", Graph: g,
+//	    Col: pgasgraph.OptimizedCollectives(8), Compact: true,
+//	})
 //	fmt.Println(res.Components, res.Run.SimMS())
 package pgasgraph
 
@@ -30,7 +33,6 @@ import (
 	"pgasgraph/internal/listrank"
 	"pgasgraph/internal/machine"
 	"pgasgraph/internal/mis"
-	"pgasgraph/internal/mst"
 	"pgasgraph/internal/pgas"
 	"pgasgraph/internal/seq"
 	"pgasgraph/internal/sim"
@@ -51,14 +53,6 @@ type (
 	CollectiveOptions = collective.Options
 	// CCOptions configures the connected-components kernels.
 	CCOptions = cc.Options
-	// CCResult is a connected-components outcome.
-	CCResult = cc.Result
-	// LTVariant selects a Liu-Tarjan rule combination for CCLiuTarjan.
-	LTVariant = cc.LTVariant
-	// MSTOptions configures the minimum-spanning-forest kernels.
-	MSTOptions = mst.Options
-	// MSFResult is a minimum-spanning-forest outcome.
-	MSFResult = mst.Result
 	// MSF is a sequential minimum-spanning-forest result.
 	MSF = seq.MSF
 	// RunStats carries a run's simulated-time accounting.
@@ -80,17 +74,6 @@ const (
 	// SchemeHub spreads listed hub elements round-robin and
 	// block-distributes the tail.
 	SchemeHub = pgas.SchemeHub
-)
-
-// Liu-Tarjan rule combinations selectable through CCLiuTarjan (hook rule
-// × update gate × shortcut rule; see docs/MODEL.md for the taxonomy).
-const (
-	// LTPRS: parent hook, root-gated, single shortcut.
-	LTPRS = cc.LTPRS
-	// LTPUS: parent hook, unconditional, single shortcut.
-	LTPUS = cc.LTPUS
-	// LTERS: extended hook, root-gated, single shortcut.
-	LTERS = cc.LTERS
 )
 
 // Machine presets.
@@ -151,20 +134,10 @@ func DefaultCollectives() *CollectiveOptions { return collective.Defaults() }
 // with nil *CCOptions: default collectives, no compaction.
 func DefaultCC() *CCOptions { return cc.Defaults() }
 
-// DefaultMST returns the configuration used when an MSF kernel is called
-// with nil *MSTOptions: default collectives, no compaction.
-func DefaultMST() *MSTOptions { return mst.Defaults() }
-
 // OptimizedCC returns fully optimized CC options (all collective
 // optimizations plus compact) with t' virtual threads.
 func OptimizedCC(virtualThreads int) *CCOptions {
 	return &CCOptions{Col: collective.Optimized(virtualThreads), Compact: true}
-}
-
-// OptimizedMST returns fully optimized MST options with t' virtual
-// threads (offload is CC-specific and disabled internally).
-func OptimizedMST(virtualThreads int) *MSTOptions {
-	return &MSTOptions{Col: collective.Optimized(virtualThreads), Compact: true}
 }
 
 // Cluster is a handle to one simulated PGAS machine. It owns the runtime
@@ -219,51 +192,12 @@ func (c *Cluster) SetPartition(spec PartitionSpec) error { return c.rt.SetPartit
 // deterministic) — the natural hub list for a SchemeHub PartitionSpec.
 func Hubs(g *Graph, max int) []int64 { return graph.Hubs(g, max) }
 
-// Kernel methods. The names form one family: <Problem><Variant>, where
-// the variant is Naive (literal per-element translation), Coalesced
-// (collective-based, the paper's optimized path), or an algorithm name
-// (SV, CGM, Luby, DeltaStepping, Wyllie). Every kernel accepts nil
-// options ≡ the matching Defaults(), and every result type exposes a
-// `Run RunStats` field with the run's simulated-time accounting.
-
-// CCNaive runs the literal PGAS translation of shared-memory CC (CC-UPC of
-// Figure 2; with a single-node cluster it is the paper's CC-SMP baseline).
-func (c *Cluster) CCNaive(g *Graph) *CCResult { return cc.Naive(c.rt, g) }
-
-// CCCoalesced runs CC rewritten with the GetD/SetDMin collectives, the
-// paper's optimized implementation. opts may be nil for defaults.
-func (c *Cluster) CCCoalesced(g *Graph, opts *CCOptions) *CCResult {
-	return cc.Coalesced(c.rt, c.comm, g, opts)
-}
-
-// CCSV runs the Shiloach-Vishkin algorithm rewritten with collectives.
-// opts may be nil for defaults.
-func (c *Cluster) CCSV(g *Graph, opts *CCOptions) *CCResult {
-	return cc.SV(c.rt, c.comm, g, opts)
-}
-
-// CCFastSV runs the FastSV algorithm (SV with stochastic and aggressive
-// hooking on grandparent values), converging in fewer supersteps than
-// CCSV with bit-identical labels. opts may be nil for defaults.
-func (c *Cluster) CCFastSV(g *Graph, opts *CCOptions) *CCResult {
-	return cc.FastSV(c.rt, c.comm, g, opts)
-}
-
-// CCLiuTarjan runs one Liu-Tarjan concurrent-labeling variant (LTPRS,
-// LTPUS, or LTERS), bit-identical in labels to the other collective CC
-// kernels. opts may be nil for defaults.
-func (c *Cluster) CCLiuTarjan(g *Graph, v LTVariant, opts *CCOptions) *CCResult {
-	return cc.LiuTarjan(c.rt, c.comm, g, v, opts)
-}
-
-// MSFNaive runs the literal lock-based parallel Borůvka translation.
-func (c *Cluster) MSFNaive(g *Graph) *MSFResult { return mst.Naive(c.rt, g) }
-
-// MSFCoalesced runs the lock-free Borůvka rewritten with SetDMin. opts
-// may be nil for defaults.
-func (c *Cluster) MSFCoalesced(g *Graph, opts *MSTOptions) *MSFResult {
-	return mst.Coalesced(c.rt, c.comm, g, opts)
-}
+// Typed kernel methods. Kernels whose answer fits a KernelResult — the CC
+// family, the minimum spanning forest, BFS — run through Cluster.Run by
+// registry name (see Kernels); the methods below return results a
+// KernelResult cannot carry. Every one accepts nil options ≡ the matching
+// Defaults(), and every result type exposes a `Run RunStats` field with
+// the run's simulated-time accounting.
 
 // SpanningForest runs the spanning-forest variant of coalesced CC (the
 // paper's "closely related spanning tree problem", §V): the SetDMin
@@ -284,17 +218,6 @@ func (c *Cluster) ListRankWyllie(l *List, opts *CollectiveOptions) *ListRankResu
 // ranking the paper's §II surveys. opts may be nil for defaults.
 func (c *Cluster) ListRankCGM(l *List, opts *CollectiveOptions) *ListRankResult {
 	return listrank.CGM(c.rt, c.comm, l, opts)
-}
-
-// BFSCoalesced runs coalesced level-synchronous breadth-first search from
-// src. opts may be nil for defaults.
-func (c *Cluster) BFSCoalesced(g *Graph, src int64, opts *CollectiveOptions) *BFSResult {
-	return bfs.Coalesced(c.rt, c.comm, g, src, opts)
-}
-
-// BFSNaive runs the per-edge one-sided translation of BFS.
-func (c *Cluster) BFSNaive(g *Graph, src int64) *BFSResult {
-	return bfs.Naive(c.rt, g, src)
 }
 
 // SSSPDeltaStepping runs distributed delta-stepping single-source
@@ -341,10 +264,6 @@ func (c *Cluster) EulerTour(forest *Graph, opts *CollectiveOptions) *TreeStats {
 	return euler.Tour(c.rt, c.comm, forest, opts)
 }
 
-// CCMerge runs the communication-efficient forest-merging CC (the
-// round-minimizing approach the paper's conclusion argues against).
-func (c *Cluster) CCMerge(g *Graph) *CCResult { return cc.MergeCGM(c.rt, g) }
-
 // BiconnectedComponents runs distributed Tarjan-Vishkin: spanning forest,
 // Euler tour, priority-write extrema, and CC on the auxiliary graph — the
 // full PRAM pipeline over this library's collectives. opts may be nil
@@ -378,8 +297,6 @@ type (
 	List = listrank.List
 	// ListRankResult is a list-ranking outcome.
 	ListRankResult = listrank.Result
-	// BFSResult is a breadth-first-search outcome.
-	BFSResult = bfs.Result
 )
 
 // BFSUnreached marks vertices a BFS did not reach.

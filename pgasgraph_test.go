@@ -3,6 +3,8 @@ package pgasgraph
 import (
 	"reflect"
 	"testing"
+
+	"pgasgraph/internal/mst"
 )
 
 func smallCluster(t *testing.T) *Cluster {
@@ -15,6 +17,16 @@ func smallCluster(t *testing.T) *Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// mustRun dispatches spec on c, failing the test on a dispatch error.
+func mustRun(tb testing.TB, c *Cluster, spec KernelSpec) *KernelResult {
+	tb.Helper()
+	res, err := c.Run(spec)
+	if err != nil {
+		tb.Fatalf("%s: %v", spec.Kernel, err)
+	}
+	return res
 }
 
 func TestNewClusterRejectsInvalid(t *testing.T) {
@@ -43,17 +55,17 @@ func TestEndToEndCC(t *testing.T) {
 	g := HybridGraph(1000, 3000, 7)
 	want := SequentialCC(g)
 
-	naive := c.CCNaive(g)
+	naive := mustRun(t, c, KernelSpec{Kernel: "cc/naive", Graph: g})
 	if !SamePartition(want, naive.Labels) {
-		t.Fatal("CCNaive wrong")
+		t.Fatal("cc/naive wrong")
 	}
-	opt := c.CCCoalesced(g, OptimizedCC(4))
+	opt := mustRun(t, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: OptimizedCollectives(4), Compact: true})
 	if !SamePartition(want, opt.Labels) {
-		t.Fatal("CCCoalesced wrong")
+		t.Fatal("cc/coalesced wrong")
 	}
-	sv := c.CCSV(g, OptimizedCC(4))
+	sv := mustRun(t, c, KernelSpec{Kernel: "cc/sv", Graph: g, Col: OptimizedCollectives(4), Compact: true})
 	if !SamePartition(want, sv.Labels) {
-		t.Fatal("CCSV wrong")
+		t.Fatal("cc/sv wrong")
 	}
 	if opt.Components != CountComponents(want) {
 		t.Fatal("component count wrong")
@@ -66,7 +78,7 @@ func TestEndToEndCC(t *testing.T) {
 func TestEndToEndCCNilOptions(t *testing.T) {
 	c := smallCluster(t)
 	g := RandomGraph(300, 900, 3)
-	res := c.CCCoalesced(g, nil)
+	res := mustRun(t, c, KernelSpec{Kernel: "cc/coalesced", Graph: g})
 	if !SamePartition(SequentialCC(g), res.Labels) {
 		t.Fatal("nil-options CC wrong")
 	}
@@ -77,13 +89,13 @@ func TestEndToEndMSF(t *testing.T) {
 	g := WithRandomWeights(RandomGraph(500, 1500, 11), 12)
 	want := Kruskal(g)
 
-	naive := c.MSFNaive(g)
+	naive := mustRun(t, c, KernelSpec{Kernel: "mst/naive", Graph: g})
 	if naive.Weight != want.Weight {
-		t.Fatalf("MSFNaive weight %d, want %d", naive.Weight, want.Weight)
+		t.Fatalf("mst/naive weight %d, want %d", naive.Weight, want.Weight)
 	}
-	opt := c.MSFCoalesced(g, OptimizedMST(4))
+	opt := mustRun(t, c, KernelSpec{Kernel: "mst/coalesced", Graph: g, Col: OptimizedCollectives(4), Compact: true})
 	if opt.Weight != want.Weight {
-		t.Fatalf("MSFCoalesced weight %d, want %d", opt.Weight, want.Weight)
+		t.Fatalf("mst/coalesced weight %d, want %d", opt.Weight, want.Weight)
 	}
 	if len(opt.Edges) != len(want.Edges) {
 		t.Fatal("forest size differs")
@@ -140,14 +152,11 @@ func TestOptionPresets(t *testing.T) {
 	if o := DefaultCC(); o.Compact || o.Col == nil {
 		t.Fatalf("DefaultCC wrong: %+v", o)
 	}
-	if o := DefaultMST(); o.Compact || o.Col == nil {
-		t.Fatalf("DefaultMST wrong: %+v", o)
+	if o := mst.Defaults(); o.Compact || o.Col == nil {
+		t.Fatalf("mst.Defaults wrong: %+v", o)
 	}
 	if o := OptimizedCC(4); !o.Compact || o.Col.VirtualThreads != 4 {
 		t.Fatalf("OptimizedCC wrong: %+v", o)
-	}
-	if o := OptimizedMST(4); !o.Compact {
-		t.Fatalf("OptimizedMST wrong: %+v", o)
 	}
 	for _, o := range []*CollectiveOptions{BaseCollectives(), DefaultCollectives(), OptimizedCollectives(8), nil} {
 		if err := o.Validate(); err != nil {
@@ -179,9 +188,10 @@ func TestValidateRejectsBadVectors(t *testing.T) {
 	}
 }
 
-// TestNilOptionsMatchDefaults calls every exported Cluster kernel once
-// with nil options and once with the matching Defaults() and asserts the
-// results are identical — the nil ≡ defaults contract of the API.
+// TestNilOptionsMatchDefaults calls every typed Cluster kernel, and the
+// Run-dispatched kernels that take collective options, once with nil
+// options and once with the matching Defaults() and asserts the results
+// are identical — the nil ≡ defaults contract of the API.
 func TestNilOptionsMatchDefaults(t *testing.T) {
 	c := smallCluster(t)
 	g := HybridGraph(400, 1200, 21)
@@ -197,30 +207,25 @@ func TestNilOptionsMatchDefaults(t *testing.T) {
 	}()
 	l := ChainsList(300, 3, 5)
 
+	// col selects the Run spec's collectives: nil, or the defaults.
+	col := func(d bool) *CollectiveOptions {
+		if d {
+			return DefaultCollectives()
+		}
+		return nil
+	}
 	kernels := []struct {
 		name string
 		run  func(defaults bool) any
 	}{
-		{"CCCoalesced", func(d bool) any {
-			o := (*CCOptions)(nil)
-			if d {
-				o = DefaultCC()
-			}
-			return c.CCCoalesced(g, o).Labels
+		{"cc/coalesced", func(d bool) any {
+			return mustRun(t, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: col(d)}).Labels
 		}},
-		{"CCSV", func(d bool) any {
-			o := (*CCOptions)(nil)
-			if d {
-				o = DefaultCC()
-			}
-			return c.CCSV(g, o).Labels
+		{"cc/sv", func(d bool) any {
+			return mustRun(t, c, KernelSpec{Kernel: "cc/sv", Graph: g, Col: col(d)}).Labels
 		}},
-		{"MSFCoalesced", func(d bool) any {
-			o := (*MSTOptions)(nil)
-			if d {
-				o = DefaultMST()
-			}
-			return c.MSFCoalesced(wg, o).Weight
+		{"mst/coalesced", func(d bool) any {
+			return mustRun(t, c, KernelSpec{Kernel: "mst/coalesced", Graph: wg, Col: col(d)}).Weight
 		}},
 		{"SpanningForest", func(d bool) any {
 			o := (*CCOptions)(nil)
@@ -236,12 +241,8 @@ func TestNilOptionsMatchDefaults(t *testing.T) {
 			}
 			return c.Bipartite(g, o).Side
 		}},
-		{"BFSCoalesced", func(d bool) any {
-			o := (*CollectiveOptions)(nil)
-			if d {
-				o = DefaultCollectives()
-			}
-			return c.BFSCoalesced(g, 0, o).Dist
+		{"bfs/coalesced", func(d bool) any {
+			return mustRun(t, c, KernelSpec{Kernel: "bfs/coalesced", Graph: g, Col: col(d)}).Dist
 		}},
 		{"SSSPDeltaStepping", func(d bool) any {
 			o := (*CollectiveOptions)(nil)
@@ -308,12 +309,12 @@ func TestReusedCluster(t *testing.T) {
 	c := smallCluster(t)
 	for i := 0; i < 3; i++ {
 		g := RandomGraph(200+int64(i)*50, 600, uint64(i)+1)
-		res := c.CCCoalesced(g, OptimizedCC(2))
+		res := mustRun(t, c, KernelSpec{Kernel: "cc/coalesced", Graph: g, Col: OptimizedCollectives(2), Compact: true})
 		if !SamePartition(SequentialCC(g), res.Labels) {
 			t.Fatalf("run %d wrong", i)
 		}
 		wg := WithRandomWeights(g, uint64(i)+10)
-		msf := c.MSFCoalesced(wg, OptimizedMST(2))
+		msf := mustRun(t, c, KernelSpec{Kernel: "mst/coalesced", Graph: wg, Col: OptimizedCollectives(2), Compact: true})
 		if msf.Weight != Kruskal(wg).Weight {
 			t.Fatalf("MST run %d wrong", i)
 		}
