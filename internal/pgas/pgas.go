@@ -38,8 +38,8 @@ type Runtime struct {
 	locals  []*Thread      // the threads this process actually drives
 	tr      Transport      // the fabric; shared (in-process) by default
 	node    int            // this process's node id (0 on a shared transport)
-	winc    uint32         // symmetric window-id counter (host-side allocation only)
-	arrays  []*SharedArray // wire replicas to refresh after each region (nil when shared)
+	winc    uint32         // symmetric window-id counter (host-side allocation only); never rewound
+	arrays  []*SharedArray // live wire replicas to refresh after each region, in window-id order (nil when shared)
 	bar     *barrier
 	chaos   *chaosState   // fault injector; nil (free) when disarmed
 	ckpt    *Checkpointer // superstep checkpoint manager; nil when disarmed
@@ -189,13 +189,54 @@ func (rt *Runtime) NewWinID() uint32 {
 	return rt.winc
 }
 
-// syncReplicas refreshes every shared array's remote blocks from their
-// owning processes after a successful region: one rendezvous to quiesce the
-// region everywhere, one coalesced Get per (array, remote node), one more
-// rendezvous so no process re-enters host code while a peer still serves.
-// This is what keeps host-side verification and initialization code —
-// which reads and writes arrays via Raw() without charges — working
-// unchanged on a wire runtime.
+// Mark opens an allocation scope: it returns the window-id counter, the
+// boundary a later Release(mark) drops back to. Kernel dispatch
+// (serve.RunKernel) and each recovery attempt (recover.Run) open one, so
+// the arrays, plans and reducers a kernel call draws live exactly as long
+// as the call.
+func (rt *Runtime) Mark() uint32 { return rt.winc }
+
+// Release ends the scope Mark opened. On a wire transport every shared
+// array allocated since mark leaves the post-region replica sync and every
+// transport window drawn since mark — arrays, plan request, value and
+// matrix buffers, reducer slots — is unregistered, so per-region sync cost
+// and resident memory stay flat however many kernels a long-lived runtime
+// runs. The window-id counter is not rewound: a released object used
+// later fails with a classified error (ErrMisuse for a read) instead of
+// aliasing a newer one.
+// On a shared fabric Release does nothing; released arrays stay ordinary
+// memory.
+//
+// Release is host-side and SPMD like allocation: every process calls it at
+// the same point, and only once no peer can still address the windows —
+// after a successful region (its closing rendezvous quiesces the cluster)
+// or after an eviction agreement. Nested scopes release innermost first.
+func (rt *Runtime) Release(mark uint32) {
+	if rt.tr.Shared() {
+		return
+	}
+	// Arrays are appended in allocation order, so ids ascend.
+	n := len(rt.arrays)
+	for n > 0 && rt.arrays[n-1].win.ID > mark {
+		n--
+	}
+	clear(rt.arrays[n:])
+	rt.arrays = rt.arrays[:n]
+	rt.tr.DropWindows(mark)
+}
+
+// LiveArrays returns the number of shared arrays the post-region replica
+// sync refreshes: those allocated on a wire transport and not yet
+// released. Always 0 on a shared fabric.
+func (rt *Runtime) LiveArrays() int { return len(rt.arrays) }
+
+// syncReplicas refreshes every live shared array's remote blocks from
+// their owning processes after a successful region: one rendezvous to
+// quiesce the region everywhere, one coalesced Get per (array, remote
+// node), one more rendezvous so no process re-enters host code while a
+// peer still serves. This is what keeps host-side verification and
+// initialization code — which reads and writes arrays via Raw() without
+// charges — working unchanged on a wire runtime.
 func (rt *Runtime) syncReplicas() error {
 	if _, err := rt.tr.Rendezvous(0); err != nil {
 		return err
@@ -363,6 +404,7 @@ func (rt *Runtime) evictWire(dead []int) (*Runtime, error) {
 		s:       p * tpn,
 		tr:      rt.tr,
 		node:    rt.tr.Node(),
+		winc:    rt.winc, // ids stay monotone on the shared transport
 		part:    rt.part, // recovery re-creates arrays under the same scheme
 		evicted: append(rt.EvictedThreads(), deadThreads...),
 	}
@@ -480,10 +522,12 @@ func (rt *Runtime) RunE(fn func(th *Thread)) (*Result, error) {
 	if !rt.tr.Shared() {
 		// Region-entry rendezvous: host-side code exposes this region's
 		// windows without communication (SPMD-symmetric IDs), so a fast
-		// peer's first coalesced frames could otherwise arrive while a slow
-		// process still has a previous runtime's slices registered under
-		// the same names. No wire op may leave a node before every node has
-		// entered the region.
+		// peer's first coalesced frames could otherwise arrive before a
+		// slow process has registered them, or while it still has a
+		// previous runtime's slices registered under the same names (a
+		// fresh runtime on the same transport restarts the counter). No
+		// wire op may leave a node before every node has entered the
+		// region.
 		if _, err := rt.tr.Rendezvous(0); err != nil {
 			return nil, err
 		}
@@ -878,7 +922,7 @@ func (rt *Runtime) NewSharedArrayPart(name string, n int64, spec PartitionSpec) 
 	if !rt.tr.Shared() {
 		// Wire: the slice is a full-size replica, authoritative only for
 		// this node's blocks. Register it so remote processes can address
-		// it, and track it for the post-region refresh.
+		// it, and track it for the post-region refresh until Release.
 		a.win = Win{Kind: WinArray, ID: rt.NewWinID()}
 		rt.tr.Expose(a.win, a.data)
 		rt.arrays = append(rt.arrays, a)

@@ -65,6 +65,15 @@ type Win struct {
 // Contract:
 //   - Expose registers a window before any remote access; callers only
 //     re-Expose a window when its backing slice is reallocated.
+//   - DropWindows(mark) unregisters every window whose ID is above mark,
+//     ending the lifetime of everything a scope drew (Runtime.Mark and
+//     Runtime.Release). Window ids are drawn from a monotone counter and
+//     never reused, so a later access to a dropped window is never served
+//     from a newer object: a Get or PutMin is rejected as ErrMisuse (a
+//     remote peer answers "bad window") and a remote Put poisons the
+//     transport. Callers drop only once no peer can still address the
+//     windows: after a successful region's closing rendezvous, or after
+//     an eviction agreement.
 //   - Get/Put/PutMin address element offsets within the window; th is the
 //     issuing thread for error attribution and may be nil for host-side
 //     calls. Errors are always classified (ErrTransport for a lost or
@@ -87,6 +96,8 @@ type Transport interface {
 	Node() int
 	// Expose registers (or re-registers, after reallocation) a window.
 	Expose(w Win, data []int64)
+	// DropWindows unregisters every window whose ID is above mark.
+	DropWindows(mark uint32)
 	// Get reads len(dst) elements of node's window w starting at off.
 	Get(th *Thread, node int, w Win, off int64, dst []int64) error
 	// Put writes src into node's window w starting at off. Delivery may be
@@ -151,6 +162,17 @@ func (t *winTable) expose(w Win, data []int64) {
 	t.mu.Unlock()
 }
 
+// dropAbove deletes every window whose ID is above mark.
+func (t *winTable) dropAbove(mark uint32) {
+	t.mu.Lock()
+	for w := range t.m {
+		if w.ID > mark {
+			delete(t.m, w)
+		}
+	}
+	t.mu.Unlock()
+}
+
 func (t *winTable) lookup(w Win) ([]int64, bool) {
 	t.mu.RLock()
 	data, ok := t.m[w]
@@ -181,6 +203,7 @@ func (t *inprocTransport) Nodes() int   { return t.nodes }
 func (t *inprocTransport) Node() int    { return 0 }
 
 func (t *inprocTransport) Expose(w Win, data []int64) { t.wins.expose(w, data) }
+func (t *inprocTransport) DropWindows(mark uint32)    { t.wins.dropAbove(mark) }
 
 func (t *inprocTransport) window(th *Thread, op string, node int, w Win, off, k int64) ([]int64, error) {
 	id := -1

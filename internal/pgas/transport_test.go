@@ -81,3 +81,62 @@ func TestInprocTransportWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReleaseScopesReplicas: on a non-shared fabric Release(mark) drops
+// exactly the arrays and windows drawn since mark — array, reducer and
+// any other kind alike — and leaves older ones registered and synced. The
+// id counter is not rewound, and Evict carries it to the remapped runtime,
+// so a released id is never drawn again by the same lineage.
+func TestReleaseScopesReplicas(t *testing.T) {
+	tr := newFakeEvictor(2, 0, 1)
+	rt, err := NewOnTransport(wireCfg(2, 1), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := rt.NewSharedArray("keep", 8)
+	mark := rt.Mark()
+	scratch := rt.NewSharedArray("scratch", 8)
+	red := NewOrReducer(rt)
+	if rt.LiveArrays() != 2 {
+		t.Fatalf("LiveArrays = %d, want 2", rt.LiveArrays())
+	}
+	rt.Release(mark)
+	if rt.LiveArrays() != 1 || rt.arrays[0] != keep {
+		t.Fatalf("after Release: %d live arrays, want only keep", rt.LiveArrays())
+	}
+	dst := make([]int64, 1)
+	if err := tr.Get(nil, 0, keep.win, 0, dst); err != nil {
+		t.Fatalf("kept window: %v", err)
+	}
+	for _, w := range []Win{scratch.win, red.wins[0], red.wins[1]} {
+		if err := tr.Get(nil, 0, w, 0, dst); !errors.Is(err, ErrMisuse) {
+			t.Fatalf("released window %+v: %v, want ErrMisuse", w, err)
+		}
+	}
+	if id := rt.NewWinID(); id <= red.wins[0].ID {
+		t.Fatalf("id counter rewound: drew %d after releasing %d", id, red.wins[0].ID)
+	}
+	nrt, err := rt.Evict([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nrt.Mark() != rt.Mark() {
+		t.Fatalf("Evict reset the id counter: %d, was %d", nrt.Mark(), rt.Mark())
+	}
+}
+
+// TestReleaseIsNoOpOnSharedFabric: in process nothing is registered or
+// synced, so Release leaves arrays as ordinary memory.
+func TestReleaseIsNoOpOnSharedFabric(t *testing.T) {
+	rt, err := New(wireCfg(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mark := rt.Mark()
+	a := rt.NewSharedArray("a", 4)
+	a.StoreRaw(3, 9)
+	rt.Release(mark)
+	if rt.LiveArrays() != 0 || rt.Mark() != mark || a.LoadRaw(3) != 9 {
+		t.Fatalf("shared fabric: live=%d mark=%d->%d a[3]=%d", rt.LiveArrays(), mark, rt.Mark(), a.LoadRaw(3))
+	}
+}

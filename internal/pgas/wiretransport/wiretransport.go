@@ -449,6 +449,26 @@ func (t *Transport) Expose(w pgas.Win, data []int64) {
 	t.winMu.Unlock()
 }
 
+// DropWindows unregisters every window whose ID is above mark. A peer
+// request that names a dropped window is answered "bad window" (GET,
+// PUTMIN) or poisons the transport (PUT), never served stale.
+func (t *Transport) DropWindows(mark uint32) {
+	t.winMu.Lock()
+	for w := range t.wins {
+		if w.ID > mark {
+			delete(t.wins, w)
+		}
+	}
+	t.winMu.Unlock()
+}
+
+// LiveWindows returns the number of registered windows.
+func (t *Transport) LiveWindows() int {
+	t.winMu.RLock()
+	defer t.winMu.RUnlock()
+	return len(t.wins)
+}
+
 func (t *Transport) window(w pgas.Win, off, k int64) ([]int64, bool) {
 	t.winMu.RLock()
 	data, ok := t.wins[w]

@@ -139,6 +139,32 @@ func TestGetUnexposedIsMisuse(t *testing.T) {
 	}
 }
 
+// TestDropWindows: dropping above a mark unregisters exactly the newer
+// windows; a peer read of a dropped window is ErrMisuse, never stale data.
+func TestDropWindows(t *testing.T) {
+	trs := connectMesh(t, 2, 10*time.Second)
+	old := pgas.Win{Kind: pgas.WinArray, ID: 3}
+	gone := []pgas.Win{{Kind: pgas.WinArray, ID: 5}, {Kind: pgas.WinPlanVal, ID: 6, Sub: 1}, {Kind: pgas.WinReduce, ID: 7}}
+	trs[1].Expose(old, []int64{1})
+	for _, w := range gone {
+		trs[1].Expose(w, []int64{2})
+	}
+	trs[1].DropWindows(4)
+	if n := trs[1].LiveWindows(); n != 1 {
+		t.Fatalf("LiveWindows = %d after drop, want 1", n)
+	}
+	dst := []int64{-1}
+	if err := trs[0].Get(nil, 1, old, 0, dst); err != nil || dst[0] != 1 {
+		t.Fatalf("kept window: %v %v", dst, err)
+	}
+	for _, w := range gone {
+		dst[0] = -1
+		if err := trs[0].Get(nil, 1, w, 0, dst); !errors.Is(err, pgas.ErrMisuse) || dst[0] != -1 {
+			t.Fatalf("dropped window %+v: read %d, %v; want ErrMisuse", w, dst[0], err)
+		}
+	}
+}
+
 func TestPutMinStores(t *testing.T) {
 	trs := connectMesh(t, 2, 10*time.Second)
 	data := []int64{100}

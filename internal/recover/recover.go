@@ -14,6 +14,7 @@
 //	        │  budget left and enough survivors?
 //	        ├─ no ──────────────────────────────▶ fail loudly (classified)
 //	        └─ yes: Evict(T) → remapped runtime
+//	                release the attempt's arrays, plans, windows
 //	                re-arm chaos (same seed)
 //	                Rebind checkpoints (restore-on-register)
 //	                fresh Comm (plans must rebuild: geometry changed)
@@ -115,17 +116,27 @@ type Body func(rt *pgas.Runtime, comm *collective.Comm) error
 // Chaos, if armed on rt, is re-armed with the same configuration (same
 // seed) on each remapped runtime — with kills disabled on the final
 // permitted attempt so the loop cannot evict forever.
+//
+// Every attempt is an allocation scope (pgas.Runtime.Mark). A completed
+// attempt releases what the body drew and keeps its Comm, which the
+// caller may adopt from the Report. A rolled-back attempt also releases
+// its Comm — everything drawn since the attempt began — but only after
+// Evict's agreement: until every survivor has left the failed region, a
+// peer may still be reading or writing the attempt's windows.
 func Run(rt *pgas.Runtime, cfg *Config, body Body) (*Report, error) {
 	rep := &Report{}
 	ck := rt.ArmCheckpoints(cfg.every())
+	base := rt.Mark()
 	comm := collective.NewComm(rt)
 	maxRB := cfg.maxRollbacks()
 	for {
 		rep.Rounds++
 		rep.Runtime, rep.Comm = rt, comm
 		startBarriers := ck.Barriers()
+		mark := rt.Mark()
 		err := runBody(rt, comm, body)
 		if err == nil {
+			rt.Release(mark)
 			rep.fold(rt, ck)
 			return rep, nil
 		}
@@ -146,6 +157,7 @@ func Run(rt *pgas.Runtime, cfg *Config, body Body) (*Report, error) {
 			rep.fold(rt, ck)
 			return rep, err
 		}
+		rt.Release(base)
 		if chaosArmed {
 			if rep.Rollbacks+1 >= maxRB {
 				// Last permitted attempt: keep the transient fault kinds
@@ -162,6 +174,7 @@ func Run(rt *pgas.Runtime, cfg *Config, body Body) (*Report, error) {
 		// runtime's ledger is the authority. In-process the delta equals
 		// dead exactly.
 		rep.Evicted = append(rep.Evicted, nrt.EvictedThreads()[len(rt.EvictedThreads()):]...)
+		base = nrt.Mark()
 		rt, comm = nrt, collective.NewComm(nrt)
 		rep.Rollbacks++
 	}

@@ -216,6 +216,13 @@ func lookup(name string) (*kernelEntry, error) {
 // range — returns a classified pgas.ErrMisuse; classified runtime
 // failures (chaos faults, evictions) come back as their own classes.
 // Kernel bugs still panic.
+//
+// The kernel runs inside an allocation scope (pgas.Runtime.Mark): once it
+// returns, its result is host-side slices, and every shared array, plan
+// and reducer it drew is released, so on a wire cluster replica sync
+// covers only arrays that outlive the call. A failed kernel keeps its
+// windows: peers of the failed region may still address them, and the
+// recovery supervisor releases them once the survivors agree.
 func RunKernel(rt *pgas.Runtime, comm *collective.Comm, spec KernelSpec) (res *KernelResult, err error) {
 	entry, err := lookup(spec.Kernel)
 	if err != nil {
@@ -242,7 +249,10 @@ func RunKernel(rt *pgas.Runtime, comm *collective.Comm, spec KernelSpec) (res *K
 		return nil, pgas.Errorf(pgas.ErrMisuse, -1, "serve.run", "%s: %v", spec.Kernel, err)
 	}
 	defer pgas.Recover(&err)
-	return entry.run(rt, comm, &spec), nil
+	mark := rt.Mark()
+	res = entry.run(rt, comm, &spec)
+	rt.Release(mark)
+	return res, nil
 }
 
 // forestGraph materializes chosen edge ids as a graph on g's vertex set

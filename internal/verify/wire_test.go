@@ -11,6 +11,7 @@ import (
 	"pgasgraph/internal/collective"
 	"pgasgraph/internal/mst"
 	"pgasgraph/internal/pgas"
+	"pgasgraph/internal/pgas/wiretransport"
 	recovery "pgasgraph/internal/recover"
 	"pgasgraph/internal/xrand"
 )
@@ -117,12 +118,18 @@ func eq64(a, b []int64) bool {
 	return true
 }
 
+// liveState is what a supervised run leaves registered on one node: the
+// arrays replica sync still refreshes and the transport's live windows.
+type liveState struct{ arrays, windows int }
+
 // TestWireKillRecovery: a chaos kill on a 3-node wire cluster evicts the
 // whole node that hosted the dead thread; the survivors agree on the dead
 // set, roll back to the last committed checkpoint, remap, and complete
 // with the correct answer (the check's own oracle runs on the degraded
 // geometry). The dying node self-evicts. Re-running the same seed must
-// reproduce the identical rollback history on every survivor.
+// reproduce the identical rollback history on every survivor, and the
+// rolled-back attempt must leave nothing behind: each survivor's live
+// arrays and windows equal a clean (kill-free) run's.
 func TestWireKillRecovery(t *testing.T) {
 	var c Check
 	for _, wc := range WireChecks() {
@@ -134,19 +141,36 @@ func TestWireKillRecovery(t *testing.T) {
 	if c.Name == "" {
 		t.Fatal("cc/coalesced missing from the wire battery")
 	}
-	run := func(seed uint64) ([]*recovery.Report, []error, *Trial) {
+	// runLive is RunWireKillRecover, also recording each node's live state
+	// once the supervisor returns.
+	runLive := func(tr *Trial, ccfg pgas.ChaosConfig) ([]*recovery.Report, []error, []liveState) {
+		reps := make([]*recovery.Report, tr.Machine.Nodes)
+		live := make([]liveState, tr.Machine.Nodes)
+		errs := RunWireCluster(tr, nil, WireTimeout, func(node int, rt *pgas.Runtime, comm *collective.Comm) error {
+			rt.ArmChaos(ccfg)
+			rep, err := recovery.Run(rt, &recovery.Config{MinThreads: 1}, func(rt *pgas.Runtime, comm *collective.Comm) error {
+				return c.Run(tr, rt, comm)
+			})
+			reps[node] = rep
+			live[node] = liveState{rep.Runtime.LiveArrays(), rep.Runtime.Transport().(*wiretransport.Transport).LiveWindows()}
+			return err
+		})
+		return reps, errs, live
+	}
+	trial := func(seed uint64) *Trial {
 		tr := wireTrial(seed, 1, 200, 3, 1)
 		tr.Scheme = pgas.SchemeBlock
-		ccfg := pgas.ChaosConfig{Seed: seed, KillRate: 0.05}
-		reps, errs := RunWireKillRecover(c, tr, ccfg, &recovery.Config{MinThreads: 1}, WireTimeout)
-		return reps, errs, tr
+		return tr
+	}
+	run := func(seed uint64) ([]*recovery.Report, []error, []liveState) {
+		return runLive(trial(seed), pgas.ChaosConfig{Seed: seed, KillRate: 0.05})
 	}
 	// Scan a few seeds for the interesting shape: at least one survivor
 	// completing after a rollback. High kill rates can also take every
 	// node down (a legitimate classified outcome), so not every seed
 	// qualifies.
 	for seed := uint64(1); seed <= 24; seed++ {
-		reps, errs, _ := run(seed)
+		reps, errs, live := run(seed)
 		survivor := -1
 		for nd, e := range errs {
 			if e == nil && reps[nd].Rollbacks > 0 {
@@ -194,6 +218,20 @@ func TestWireKillRecovery(t *testing.T) {
 			if e == nil && (reps[nd].Rollbacks != ref.Rollbacks || !equalInts(reps[nd].Evicted, ref.Evicted)) {
 				t.Fatalf("seed %d: survivors diverge: node %d %d/%v vs node %d %d/%v",
 					seed, nd, reps[nd].Rollbacks, reps[nd].Evicted, survivor, ref.Rollbacks, ref.Evicted)
+			}
+		}
+		// The rolled-back attempts released their arrays and windows.
+		_, cleanErrs, clean := runLive(trial(seed), pgas.ChaosConfig{Seed: seed})
+		if err := firstNodeError(cleanErrs); err != nil {
+			t.Fatalf("seed %d: clean run: %v", seed, err)
+		}
+		if clean[0].arrays != 0 {
+			t.Fatalf("seed %d: clean run left %d arrays live after the body returned", seed, clean[0].arrays)
+		}
+		for nd, e := range errs {
+			if e == nil && live[nd] != clean[0] {
+				t.Fatalf("seed %d: survivor node %d left %+v live after %d rollbacks, clean run %+v",
+					seed, nd, live[nd], reps[nd].Rollbacks, clean[0])
 			}
 		}
 		return
