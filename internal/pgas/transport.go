@@ -146,24 +146,33 @@ type NodeEvictor interface {
 	Fail() error
 }
 
-// winTable is the window registry backends share.
-type winTable struct {
+// Windows is the window registry both backends serve from. It owns the
+// bounds check and the access rule: SharedArray windows are touched
+// concurrently by the owner's threads through the runtime's atomic fast
+// paths, so they are read and written atomically; plan and reducer windows
+// are only accessed in barrier-separated phases and copy plainly; PutMin is
+// a CAS loop. An access outside an exposed window is a classified
+// ErrMisuse, never a slice panic. op and th attribute the error (th may be
+// nil for host-side calls).
+type Windows struct {
 	mu sync.RWMutex
 	m  map[Win][]int64
 }
 
-func newWinTable() *winTable {
-	return &winTable{m: make(map[Win][]int64)}
+// NewWindows returns an empty registry.
+func NewWindows() *Windows {
+	return &Windows{m: make(map[Win][]int64)}
 }
 
-func (t *winTable) expose(w Win, data []int64) {
+// Expose registers (or re-registers, after reallocation) a window.
+func (t *Windows) Expose(w Win, data []int64) {
 	t.mu.Lock()
 	t.m[w] = data
 	t.mu.Unlock()
 }
 
-// dropAbove deletes every window whose ID is above mark.
-func (t *winTable) dropAbove(mark uint32) {
+// DropWindows unregisters every window whose ID is above mark.
+func (t *Windows) DropWindows(mark uint32) {
 	t.mu.Lock()
 	for w := range t.m {
 		if w.ID > mark {
@@ -173,21 +182,110 @@ func (t *winTable) dropAbove(mark uint32) {
 	t.mu.Unlock()
 }
 
-func (t *winTable) lookup(w Win) ([]int64, bool) {
+// LiveWindows returns the number of registered windows.
+func (t *Windows) LiveWindows() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.m)
+}
+
+// span returns elements [off, off+k) of window w. The range check cannot
+// overflow: off and k may come straight off a socket.
+func (t *Windows) span(th *Thread, op string, w Win, off, k int64) ([]int64, error) {
 	t.mu.RLock()
 	data, ok := t.m[w]
 	t.mu.RUnlock()
-	return data, ok
+	if !ok {
+		return nil, Errorf(ErrMisuse, threadID(th), op, "window %+v not exposed", w)
+	}
+	if off < 0 || k < 0 || off > int64(len(data)) || k > int64(len(data))-off {
+		return nil, Errorf(ErrMisuse, threadID(th), op, "range [%d,+%d) out of window %+v len %d", off, k, w, len(data))
+	}
+	return data[off : off+k], nil
+}
+
+// Get reads len(dst) elements of window w starting at off.
+func (t *Windows) Get(th *Thread, op string, w Win, off int64, dst []int64) error {
+	src, err := t.span(th, op, w, off, int64(len(dst)))
+	if err != nil {
+		return err
+	}
+	load(w.Kind, src, dst)
+	return nil
+}
+
+// Snapshot returns a fresh copy of k elements of window w starting at off;
+// nothing is allocated for a range the window does not hold.
+func (t *Windows) Snapshot(th *Thread, op string, w Win, off, k int64) ([]int64, error) {
+	src, err := t.span(th, op, w, off, k)
+	if err != nil {
+		return nil, err
+	}
+	dst := make([]int64, k)
+	load(w.Kind, src, dst)
+	return dst, nil
+}
+
+func load(kind WinKind, src, dst []int64) {
+	if kind != WinArray {
+		copy(dst, src)
+		return
+	}
+	for j := range dst {
+		dst[j] = atomic.LoadInt64(&src[j])
+	}
+}
+
+// Put writes src into window w starting at off.
+func (t *Windows) Put(th *Thread, op string, w Win, off int64, src []int64) error {
+	dst, err := t.span(th, op, w, off, int64(len(src)))
+	if err != nil {
+		return err
+	}
+	if w.Kind != WinArray {
+		copy(dst, src)
+		return nil
+	}
+	for j, v := range src {
+		atomic.StoreInt64(&dst[j], v)
+	}
+	return nil
+}
+
+// PutMin lowers element off of window w to v if smaller, reporting whether
+// it stored.
+func (t *Windows) PutMin(th *Thread, op string, w Win, off, v int64) (bool, error) {
+	cell, err := t.span(th, op, w, off, 1)
+	if err != nil {
+		return false, err
+	}
+	for {
+		cur := atomic.LoadInt64(&cell[0])
+		if v >= cur {
+			return false, nil
+		}
+		if atomic.CompareAndSwapInt64(&cell[0], cur, v) {
+			return true, nil
+		}
+	}
+}
+
+// threadID attributes an error to th, or to the host (-1) when th is nil.
+func threadID(th *Thread) int {
+	if th == nil {
+		return -1
+	}
+	return th.ID
 }
 
 // inprocTransport is the reference Transport: all nodes in one process, all
-// windows in one registry, data moved with the same atomics the direct fast
-// paths use, rendezvous a no-op (the runtime's own barrier already spans
-// every thread). It never fails: the in-process fabric is reliable by
-// construction, so the only error source above it is the chaos injector.
+// windows in one registry, rendezvous a no-op (the runtime's own barrier
+// already spans every thread). It never fails: the in-process fabric is
+// reliable by construction, so the only error source above it is the chaos
+// injector.
 type inprocTransport struct {
 	nodes int
-	wins  *winTable
+	*Windows
 }
 
 // NewInprocTransport returns the in-process reference transport for p nodes.
@@ -195,70 +293,39 @@ type inprocTransport struct {
 // transport conformance suite can drive the reference implementation through
 // the same interface as a wire backend.
 func NewInprocTransport(nodes int) Transport {
-	return &inprocTransport{nodes: nodes, wins: newWinTable()}
+	return &inprocTransport{nodes: nodes, Windows: NewWindows()}
 }
 
 func (t *inprocTransport) Shared() bool { return true }
 func (t *inprocTransport) Nodes() int   { return t.nodes }
 func (t *inprocTransport) Node() int    { return 0 }
 
-func (t *inprocTransport) Expose(w Win, data []int64) { t.wins.expose(w, data) }
-func (t *inprocTransport) DropWindows(mark uint32)    { t.wins.dropAbove(mark) }
-
-func (t *inprocTransport) window(th *Thread, op string, node int, w Win, off, k int64) ([]int64, error) {
-	id := -1
-	if th != nil {
-		id = th.ID
-	}
+func (t *inprocTransport) checkNode(th *Thread, op string, node int) error {
 	if node < 0 || node >= t.nodes {
-		return nil, Errorf(ErrMisuse, id, op, "node %d out of range [0,%d)", node, t.nodes)
+		return Errorf(ErrMisuse, threadID(th), op, "node %d out of range [0,%d)", node, t.nodes)
 	}
-	data, ok := t.wins.lookup(w)
-	if !ok {
-		return nil, Errorf(ErrMisuse, id, op, "window %+v not exposed", w)
-	}
-	if off < 0 || off+k > int64(len(data)) {
-		return nil, Errorf(ErrMisuse, id, op, "range [%d,%d) out of window %+v len %d", off, off+k, w, len(data))
-	}
-	return data, nil
+	return nil
 }
 
 func (t *inprocTransport) Get(th *Thread, node int, w Win, off int64, dst []int64) error {
-	data, err := t.window(th, "transport Get", node, w, off, int64(len(dst)))
-	if err != nil {
+	if err := t.checkNode(th, "transport Get", node); err != nil {
 		return err
 	}
-	for j := range dst {
-		dst[j] = atomic.LoadInt64(&data[off+int64(j)])
-	}
-	return nil
+	return t.Windows.Get(th, "transport Get", w, off, dst)
 }
 
 func (t *inprocTransport) Put(th *Thread, node int, w Win, off int64, src []int64) error {
-	data, err := t.window(th, "transport Put", node, w, off, int64(len(src)))
-	if err != nil {
+	if err := t.checkNode(th, "transport Put", node); err != nil {
 		return err
 	}
-	for j := range src {
-		atomic.StoreInt64(&data[off+int64(j)], src[j])
-	}
-	return nil
+	return t.Windows.Put(th, "transport Put", w, off, src)
 }
 
 func (t *inprocTransport) PutMin(th *Thread, node int, w Win, off int64, v int64) (bool, error) {
-	data, err := t.window(th, "transport PutMin", node, w, off, 1)
-	if err != nil {
+	if err := t.checkNode(th, "transport PutMin", node); err != nil {
 		return false, err
 	}
-	for {
-		cur := atomic.LoadInt64(&data[off])
-		if v >= cur {
-			return false, nil
-		}
-		if atomic.CompareAndSwapInt64(&data[off], cur, v) {
-			return true, nil
-		}
-	}
+	return t.Windows.PutMin(th, "transport PutMin", w, off, v)
 }
 
 func (t *inprocTransport) Rendezvous(localMax float64) (float64, error) { return localMax, nil }

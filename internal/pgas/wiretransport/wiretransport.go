@@ -13,14 +13,19 @@
 //
 //	[0]     frame type
 //	[1]     window kind
-//	[2:4]   status / flags (responses)
+//	[2:4]   status (GETRESP, PUTMINRESP)
 //	[4:8]   window id; membership epoch for BARRIER
-//	[8:12]  window sub
-//	[12:20] offset (elements); rendezvous generation for BARRIER and
-//	        membership epoch for EVICT
-//	[20:28] payload count (elements; bytes for ABORT)
+//	[8:12]  window sub; the dialing seat for HELLO
+//	[12:20] offset (elements); rendezvous generation for BARRIER,
+//	        membership epoch for EVICT, the cause's length in bytes for
+//	        ABORT
+//	[20:28] count (words): the payload's length, or the words a GET asks
+//	        for
 //	[28:36] request id; float64 bits of the clock maximum for BARRIER
-//	[36:40] CRC-32C of the payload
+//	[36:40] CRC-32C of the payload (0 when there is none)
+//
+// Every frame but GET is followed by count payload words. Responses
+// (GETRESP, PUTMINRESP) leave bytes [1:2] and [4:20] zero.
 //
 // PUT frames coalesce: they are buffered per destination connection and
 // flushed by the next frame on that connection that needs an answer (GET,
@@ -167,14 +172,62 @@ func SocketPath(dir string, node int) string {
 }
 
 // peerConn is one mesh edge: the connection, its buffered writer, and the
-// scratch the writer reuses. wmu serializes frame writes from the node's
-// threads and from reader goroutines answering GETs.
+// frame scratch the writer reuses. wmu serializes frame writes from the
+// node's threads and from reader goroutines answering GETs.
 type peerConn struct {
 	conn net.Conn
 	wmu  sync.Mutex
 	bw   *bufio.Writer
-	hdr  [headerLen]byte
-	pay  []byte
+	buf  []byte
+}
+
+// frame is one header in the layout of the package comment.
+type frame struct {
+	typ    uint8
+	status uint16
+	win    pgas.Win
+	off    int64
+	count  int64
+	reqID  uint64
+	crc    uint32
+}
+
+// appendFrame appends f's header and payload to b. The checksum is
+// computed from payload; f.crc is ignored.
+func appendFrame(b []byte, f frame, payload []int64) []byte {
+	n := len(b)
+	b = append(b, make([]byte, headerLen)...)
+	for _, v := range payload {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	h := b[n : n+headerLen]
+	h[0] = f.typ
+	h[1] = byte(f.win.Kind)
+	binary.LittleEndian.PutUint16(h[2:4], f.status)
+	binary.LittleEndian.PutUint32(h[4:8], f.win.ID)
+	binary.LittleEndian.PutUint32(h[8:12], uint32(f.win.Sub))
+	binary.LittleEndian.PutUint64(h[12:20], uint64(f.off))
+	binary.LittleEndian.PutUint64(h[20:28], uint64(f.count))
+	binary.LittleEndian.PutUint64(h[28:36], f.reqID)
+	binary.LittleEndian.PutUint32(h[36:40], crc32.Checksum(b[n+headerLen:], castagnoli))
+	return b
+}
+
+// decodeFrame parses a headerLen-byte header.
+func decodeFrame(h []byte) frame {
+	return frame{
+		typ:    h[0],
+		status: binary.LittleEndian.Uint16(h[2:4]),
+		win: pgas.Win{
+			Kind: pgas.WinKind(h[1]),
+			ID:   binary.LittleEndian.Uint32(h[4:8]),
+			Sub:  int32(binary.LittleEndian.Uint32(h[8:12])),
+		},
+		off:   int64(binary.LittleEndian.Uint64(h[12:20])),
+		count: int64(binary.LittleEndian.Uint64(h[20:28])),
+		reqID: binary.LittleEndian.Uint64(h[28:36]),
+		crc:   binary.LittleEndian.Uint32(h[36:40]),
+	}
 }
 
 // rdvKey names one rendezvous generation within one membership epoch.
@@ -241,15 +294,14 @@ type Transport struct {
 	tpn   int
 	ln    net.Listener
 	peers []*peerConn // indexed by original seat; nil at cfg.Node
+	wins  *pgas.Windows
 
-	winMu sync.RWMutex
-	wins  map[pgas.Win][]int64
-
-	// rmu serializes inbound frame application across the per-connection
-	// reader goroutines. Together with per-connection FIFO and the
-	// rendezvous channel close it forms the happens-before chain that
-	// makes replica reads after a barrier race-free: apply (under rmu) →
-	// barrier arrival (under rdvMu) → done close → waiting caller.
+	// rmu serializes window access: inbound frame application across the
+	// per-connection reader goroutines, and this node's own data plane.
+	// Together with per-connection FIFO and the rendezvous channel close
+	// it forms the happens-before chain that makes replica reads after a
+	// barrier race-free: apply (under rmu) → barrier arrival (under
+	// rdvMu) → done close → waiting caller.
 	rmu sync.Mutex
 
 	// rdvMu guards all membership state: rendezvous generations, the
@@ -308,7 +360,7 @@ func Connect(cfg Config) (*Transport, error) {
 		cfg:      cfg,
 		tpn:      tpn,
 		peers:    make([]*peerConn, cfg.Nodes),
-		wins:     make(map[pgas.Win][]int64),
+		wins:     pgas.NewWindows(),
 		rdv:      make(map[rdvKey]*rdvState),
 		gone:     make([]uint8, cfg.Nodes),
 		evs:      make(map[uint64]*evState),
@@ -385,7 +437,7 @@ func (t *Transport) dialPeer(nd int, deadline time.Time) error {
 	p := &peerConn{conn: conn, bw: bufio.NewWriter(conn)}
 	t.peers[nd] = p
 	// Identify this seat to the acceptor.
-	return t.sendFrame(nd, frHello, pgas.Win{Sub: int32(t.cfg.Node)}, 0, 0, 0, nil, true)
+	return t.sendFrame(nd, frame{typ: frHello, win: pgas.Win{Sub: int32(t.cfg.Node)}}, nil)
 }
 
 func (t *Transport) acceptPeers(deadline time.Time) error {
@@ -401,13 +453,15 @@ func (t *Transport) acceptPeers(deadline time.Time) error {
 		}
 		conn.SetReadDeadline(deadline)
 		var hdr [headerLen]byte
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil || hdr[0] != frHello {
+		_, err = io.ReadFull(conn, hdr[:])
+		hello := decodeFrame(hdr[:])
+		if err != nil || hello.typ != frHello {
 			conn.Close()
 			return pgas.Errorf(pgas.ErrTransport, -1, "wire Connect",
 				"node %d: bad hello from peer: %v", t.cfg.Node, err)
 		}
 		conn.SetReadDeadline(time.Time{})
-		nd := int(int32(binary.LittleEndian.Uint32(hdr[8:12])))
+		nd := int(hello.win.Sub)
 		if nd <= t.cfg.Node || nd >= t.cfg.Nodes || t.peers[nd] != nil {
 			conn.Close()
 			return pgas.Errorf(pgas.ErrTransport, -1, "wire Connect",
@@ -443,41 +497,15 @@ func (t *Transport) SelfEvicted() bool {
 	return t.selfEvicted
 }
 
-func (t *Transport) Expose(w pgas.Win, data []int64) {
-	t.winMu.Lock()
-	t.wins[w] = data
-	t.winMu.Unlock()
-}
+func (t *Transport) Expose(w pgas.Win, data []int64) { t.wins.Expose(w, data) }
 
 // DropWindows unregisters every window whose ID is above mark. A peer
 // request that names a dropped window is answered "bad window" (GET,
 // PUTMIN) or poisons the transport (PUT), never served stale.
-func (t *Transport) DropWindows(mark uint32) {
-	t.winMu.Lock()
-	for w := range t.wins {
-		if w.ID > mark {
-			delete(t.wins, w)
-		}
-	}
-	t.winMu.Unlock()
-}
+func (t *Transport) DropWindows(mark uint32) { t.wins.DropWindows(mark) }
 
 // LiveWindows returns the number of registered windows.
-func (t *Transport) LiveWindows() int {
-	t.winMu.RLock()
-	defer t.winMu.RUnlock()
-	return len(t.wins)
-}
-
-func (t *Transport) window(w pgas.Win, off, k int64) ([]int64, bool) {
-	t.winMu.RLock()
-	data, ok := t.wins[w]
-	t.winMu.RUnlock()
-	if !ok || off < 0 || off+k > int64(len(data)) {
-		return nil, false
-	}
-	return data, true
-}
+func (t *Transport) LiveWindows() int { return t.wins.LiveWindows() }
 
 func tid(th *pgas.Thread) int {
 	if th == nil {
@@ -487,53 +515,28 @@ func tid(th *pgas.Thread) int {
 }
 
 // sendFrame encodes and writes one frame to original seat nd under its
-// connection's write lock. flush pushes the connection's buffered frames
-// (earlier coalesced PUTs included) onto the wire with a write deadline, so
-// a wedged peer surfaces as an error here rather than a hang.
-func (t *Transport) sendFrame(nd int, typ uint8, w pgas.Win, off, count int64, reqID uint64, payload []int64, flush bool) error {
+// connection's write lock. Every frame but PUT then flushes the
+// connection's buffered frames (earlier coalesced PUTs included) onto the
+// wire with a write deadline, so a wedged peer surfaces as an error here
+// rather than a hang.
+func (t *Transport) sendFrame(nd int, f frame, payload []int64) error {
 	p := t.peers[nd]
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-
-	var crc uint32
-	if len(payload) > 0 {
-		need := len(payload) * 8
-		if cap(p.pay) < need {
-			p.pay = make([]byte, need)
-		}
-		buf := p.pay[:need]
-		for j, v := range payload {
-			binary.LittleEndian.PutUint64(buf[j*8:], uint64(v))
-		}
-		crc = crc32.Checksum(buf, castagnoli)
-	}
-	hdr := p.hdr[:]
-	hdr[0] = typ
-	hdr[1] = byte(w.Kind)
-	binary.LittleEndian.PutUint16(hdr[2:4], 0)
-	binary.LittleEndian.PutUint32(hdr[4:8], w.ID)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(w.Sub))
-	binary.LittleEndian.PutUint64(hdr[12:20], uint64(off))
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(count))
-	binary.LittleEndian.PutUint64(hdr[28:36], reqID)
-	binary.LittleEndian.PutUint32(hdr[36:40], crc)
-	if _, err := p.bw.Write(hdr); err != nil {
+	p.buf = appendFrame(p.buf[:0], f, payload)
+	if _, err := p.bw.Write(p.buf); err != nil {
 		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
 	}
-	if len(payload) > 0 {
-		if _, err := p.bw.Write(p.pay[:len(payload)*8]); err != nil {
-			return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
-		}
+	if f.typ == frPut {
+		return nil
 	}
-	if flush {
-		p.conn.SetWriteDeadline(time.Now().Add(t.cfg.Timeout))
-		if err := p.bw.Flush(); err != nil {
-			class := pgas.ErrTransport
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				class = pgas.ErrTimeout
-			}
-			return pgas.Errorf(class, -1, "wire send", "flush %s: %v", t.edge(nd), err)
+	p.conn.SetWriteDeadline(time.Now().Add(t.cfg.Timeout))
+	if err := p.bw.Flush(); err != nil {
+		class := pgas.ErrTransport
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			class = pgas.ErrTimeout
 		}
+		return pgas.Errorf(class, -1, "wire send", "flush %s: %v", t.edge(nd), err)
 	}
 	return nil
 }
@@ -543,7 +546,8 @@ func (t *Transport) sendFrame(nd int, typ uint8, w pgas.Win, off, count int64, r
 // a GOODBYE is the write side of crash detection — the reader's EOF may not
 // have landed yet when a send to a freshly dead peer fails, and the writer
 // must not poison the cluster for a death the survivors can recover from.
-// It returns the error the caller surfaces.
+// It returns the error the caller surfaces: *pgas.EvictionError for a
+// crash, after which a broadcast goes on to the remaining peers.
 func (t *Transport) sendFailed(seat int, err error) error {
 	if errors.Is(err, pgas.ErrTimeout) || t.departed[seat].Load() {
 		t.Abort(err.Error())
@@ -553,58 +557,6 @@ func (t *Transport) sendFailed(seat int, err error) error {
 	t.rdvMu.Lock()
 	defer t.rdvMu.Unlock()
 	return t.evictErrLocked(seat)
-}
-
-// sendStatus is sendFrame for responses, which carry a status code.
-func (t *Transport) sendStatus(nd int, typ uint8, status uint16, count int64, reqID uint64, payload []int64) error {
-	p := t.peers[nd]
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-
-	var crc uint32
-	if len(payload) > 0 {
-		need := len(payload) * 8
-		if cap(p.pay) < need {
-			p.pay = make([]byte, need)
-		}
-		buf := p.pay[:need]
-		for j, v := range payload {
-			binary.LittleEndian.PutUint64(buf[j*8:], uint64(v))
-		}
-		crc = crc32.Checksum(buf, castagnoli)
-	}
-	hdr := p.hdr[:]
-	for j := range hdr {
-		hdr[j] = 0
-	}
-	hdr[0] = typ
-	binary.LittleEndian.PutUint16(hdr[2:4], status)
-	binary.LittleEndian.PutUint64(hdr[20:28], uint64(count))
-	binary.LittleEndian.PutUint64(hdr[28:36], reqID)
-	binary.LittleEndian.PutUint32(hdr[36:40], crc)
-	if _, err := p.bw.Write(hdr); err != nil {
-		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
-	}
-	if len(payload) > 0 {
-		if _, err := p.bw.Write(p.pay[:len(payload)*8]); err != nil {
-			return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "%s: %v", t.edge(nd), err)
-		}
-	}
-	p.conn.SetWriteDeadline(time.Now().Add(t.cfg.Timeout))
-	if err := p.bw.Flush(); err != nil {
-		return pgas.Errorf(pgas.ErrTransport, -1, "wire send", "flush %s: %v", t.edge(nd), err)
-	}
-	return nil
-}
-
-func (t *Transport) register(seat int) (uint64, chan wireResp) {
-	ch := make(chan wireResp, 1)
-	t.pendMu.Lock()
-	t.reqSeq++
-	id := t.reqSeq
-	t.pend[id] = pendReq{ch: ch, seat: seat}
-	t.pendMu.Unlock()
-	return id, ch
 }
 
 func (t *Transport) resolve(id uint64, r wireResp) {
@@ -617,12 +569,6 @@ func (t *Transport) resolve(id uint64, r wireResp) {
 	if ok {
 		pr.ch <- r
 	}
-}
-
-func (t *Transport) drop(id uint64) {
-	t.pendMu.Lock()
-	delete(t.pend, id)
-	t.pendMu.Unlock()
 }
 
 func (t *Transport) aborted() bool {
@@ -674,52 +620,82 @@ func (t *Transport) crashedFast(seat int) error {
 	return nil
 }
 
-// Get reads len(dst) elements of virtual node's window w starting at off.
-func (t *Transport) Get(th *pgas.Thread, node int, w pgas.Win, off int64, dst []int64) error {
-	const op = "wire Get"
+// remoteSeat resolves virtual node for a data-plane operation: -1 when it
+// is this node, which the caller serves from its own windows; otherwise
+// the node's original seat, once the transport is neither poisoned nor
+// facing a crashed seat.
+func (t *Transport) remoteSeat(th *pgas.Thread, op string, node int) (int, error) {
 	vs := t.liveView.Load()
 	if node == vs.vnode {
-		return t.localGet(th, op, w, off, dst)
+		return -1, nil
 	}
 	if node < 0 || node >= len(vs.seats) {
-		return pgas.Errorf(pgas.ErrMisuse, tid(th), op, "node %d out of range [0,%d)", node, len(vs.seats))
+		return 0, pgas.Errorf(pgas.ErrMisuse, tid(th), op, "node %d out of range [0,%d)", node, len(vs.seats))
 	}
 	seat := vs.seats[node]
 	if t.aborted() {
-		return t.abortErr(th, op)
+		return 0, t.abortErr(th, op)
 	}
-	if err := t.crashedFast(seat); err != nil {
+	return seat, t.crashedFast(seat)
+}
+
+// request sends f to seat under a fresh request id and waits for the
+// answer. An answer of "bad window", or a GET answer of the wrong length,
+// is ErrMisuse. A crash of seat resolves the wait with
+// *pgas.EvictionError; an abort unwinds it; a missed deadline against a
+// live seat is ErrTimeout and poisons the transport.
+func (t *Transport) request(th *pgas.Thread, op string, seat int, f frame, payload []int64) (wireResp, error) {
+	ch := make(chan wireResp, 1)
+	t.pendMu.Lock()
+	t.reqSeq++
+	id := t.reqSeq
+	t.pend[id] = pendReq{ch: ch, seat: seat}
+	t.pendMu.Unlock()
+	f.reqID = id
+	var r wireResp
+	if err := t.sendFrame(seat, f, payload); err != nil {
+		r.err = t.sendFailed(seat, err)
+	} else {
+		select {
+		case r = <-ch:
+			if r.err == nil && (r.status == stBadWindow || f.typ == frGet && int64(len(r.vals)) != f.count) {
+				r.err = pgas.Errorf(pgas.ErrMisuse, tid(th), op, "%s rejected window %+v [%d,+%d)",
+					t.edge(seat), f.win, f.off, f.count)
+			}
+			if r.err == nil {
+				return r, nil
+			}
+		case <-t.abortCh:
+			r.err = t.abortErr(th, op)
+		case <-time.After(t.cfg.Timeout):
+			if r.err = t.crashedFast(seat); r.err == nil {
+				r.err = pgas.Errorf(pgas.ErrTimeout, tid(th), op,
+					"%s: no response within %v", t.edge(seat), t.cfg.Timeout)
+				t.Abort(r.err.Error())
+			}
+		}
+	}
+	t.pendMu.Lock()
+	delete(t.pend, id)
+	t.pendMu.Unlock()
+	return wireResp{}, r.err
+}
+
+// Get reads len(dst) elements of virtual node's window w starting at off.
+func (t *Transport) Get(th *pgas.Thread, node int, w pgas.Win, off int64, dst []int64) error {
+	const op = "wire Get"
+	seat, err := t.remoteSeat(th, op, node)
+	if err != nil {
 		return err
 	}
-	id, ch := t.register(seat)
-	if err := t.sendFrame(seat, frGet, w, off, int64(len(dst)), id, nil, true); err != nil {
-		t.drop(id)
-		return t.sendFailed(seat, err)
+	if seat < 0 {
+		t.rmu.Lock()
+		defer t.rmu.Unlock()
+		return t.wins.Get(th, op, w, off, dst)
 	}
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return r.err
-		}
-		if r.status == stBadWindow || len(r.vals) != len(dst) {
-			return pgas.Errorf(pgas.ErrMisuse, tid(th), op,
-				"node %d rejected window %+v [%d,%d)", node, w, off, off+int64(len(dst)))
-		}
-		copy(dst, r.vals)
-		return nil
-	case <-t.abortCh:
-		t.drop(id)
-		return t.abortErr(th, op)
-	case <-time.After(t.cfg.Timeout):
-		t.drop(id)
-		if ee := t.crashedFast(seat); ee != nil {
-			return ee
-		}
-		err := pgas.Errorf(pgas.ErrTimeout, tid(th), op,
-			"%s: no response within %v", t.edge(seat), t.cfg.Timeout)
-		t.Abort(err.Error())
-		return err
-	}
+	r, err := t.request(th, op, seat, frame{typ: frGet, win: w, off: off, count: int64(len(dst))}, nil)
+	copy(dst, r.vals)
+	return err
 }
 
 // Put writes src into virtual node's window w starting at off. The frame is
@@ -727,21 +703,16 @@ func (t *Transport) Get(th *pgas.Thread, node int, w pgas.Win, off int64, dst []
 // ordering frame (GET, PUTMIN, BARRIER, EVICT, ABORT) to that node.
 func (t *Transport) Put(th *pgas.Thread, node int, w pgas.Win, off int64, src []int64) error {
 	const op = "wire Put"
-	vs := t.liveView.Load()
-	if node == vs.vnode {
-		return t.localPut(th, op, w, off, src)
-	}
-	if node < 0 || node >= len(vs.seats) {
-		return pgas.Errorf(pgas.ErrMisuse, tid(th), op, "node %d out of range [0,%d)", node, len(vs.seats))
-	}
-	seat := vs.seats[node]
-	if t.aborted() {
-		return t.abortErr(th, op)
-	}
-	if err := t.crashedFast(seat); err != nil {
+	seat, err := t.remoteSeat(th, op, node)
+	if err != nil {
 		return err
 	}
-	if err := t.sendFrame(seat, frPut, w, off, int64(len(src)), 0, src, false); err != nil {
+	if seat < 0 {
+		t.rmu.Lock()
+		defer t.rmu.Unlock()
+		return t.wins.Put(th, op, w, off, src)
+	}
+	if err := t.sendFrame(seat, frame{typ: frPut, win: w, off: off, count: int64(len(src))}, src); err != nil {
 		return t.sendFailed(seat, err)
 	}
 	return nil
@@ -750,48 +721,17 @@ func (t *Transport) Put(th *pgas.Thread, node int, w pgas.Win, off int64, src []
 // PutMin atomically lowers virtual node's window element to v if smaller.
 func (t *Transport) PutMin(th *pgas.Thread, node int, w pgas.Win, off int64, v int64) (bool, error) {
 	const op = "wire PutMin"
-	vs := t.liveView.Load()
-	if node == vs.vnode {
-		return t.localPutMin(th, op, w, off, v)
-	}
-	if node < 0 || node >= len(vs.seats) {
-		return false, pgas.Errorf(pgas.ErrMisuse, tid(th), op, "node %d out of range [0,%d)", node, len(vs.seats))
-	}
-	seat := vs.seats[node]
-	if t.aborted() {
-		return false, t.abortErr(th, op)
-	}
-	if err := t.crashedFast(seat); err != nil {
+	seat, err := t.remoteSeat(th, op, node)
+	if err != nil {
 		return false, err
 	}
-	id, ch := t.register(seat)
-	if err := t.sendFrame(seat, frPutMin, w, off, 1, id, []int64{v}, true); err != nil {
-		t.drop(id)
-		return false, t.sendFailed(seat, err)
+	if seat < 0 {
+		t.rmu.Lock()
+		defer t.rmu.Unlock()
+		return t.wins.PutMin(th, op, w, off, v)
 	}
-	select {
-	case r := <-ch:
-		if r.err != nil {
-			return false, r.err
-		}
-		if r.status == stBadWindow {
-			return false, pgas.Errorf(pgas.ErrMisuse, tid(th), op,
-				"node %d rejected window %+v off %d", node, w, off)
-		}
-		return r.status == stStored, nil
-	case <-t.abortCh:
-		t.drop(id)
-		return false, t.abortErr(th, op)
-	case <-time.After(t.cfg.Timeout):
-		t.drop(id)
-		if ee := t.crashedFast(seat); ee != nil {
-			return false, ee
-		}
-		err := pgas.Errorf(pgas.ErrTimeout, tid(th), op,
-			"%s: no response within %v", t.edge(seat), t.cfg.Timeout)
-		t.Abort(err.Error())
-		return false, err
-	}
+	r, err := t.request(th, op, seat, frame{typ: frPutMin, win: w, off: off, count: 1}, []int64{v})
+	return r.status == stStored, err
 }
 
 // rdvGetLocked returns generation k's accumulator, creating it on first
@@ -869,16 +809,13 @@ func (t *Transport) Rendezvous(localMax float64) (float64, error) {
 		if s == t.cfg.Node {
 			continue
 		}
-		if err := t.sendFrame(s, frBarrier, pgas.Win{ID: uint32(k.epoch)}, int64(gen), 0, math.Float64bits(localMax), nil, true); err != nil {
-			if errors.Is(err, pgas.ErrTimeout) || t.departed[s].Load() {
-				t.Abort(err.Error())
+		f := frame{typ: frBarrier, win: pgas.Win{ID: uint32(k.epoch)}, off: int64(gen), reqID: math.Float64bits(localMax)}
+		if err := t.sendFrame(s, f, nil); err != nil {
+			// A crash fails the registered generation; wait on it below
+			// so every caller observes the same classified error.
+			if err = t.sendFailed(s, err); !errors.Is(err, pgas.ErrEvicted) {
 				return 0, err
 			}
-			// Write-side crash detection: the crash path fails the
-			// registered generation; wait on it below so every caller
-			// observes the same classified error.
-			t.peerCrashed(s, err)
-			continue
 		}
 	}
 	select {
@@ -1064,13 +1001,11 @@ func (t *Transport) EvictNodes(dead []int) ([]int, error) {
 	t.rdvMu.Unlock()
 
 	for _, s := range targets {
-		if err := t.sendFrame(s, frEvict, pgas.Win{}, int64(epoch), int64(len(words)), 0, words, true); err != nil {
-			if errors.Is(err, pgas.ErrTimeout) || t.departed[s].Load() {
-				t.Abort(err.Error())
+		if err := t.sendFrame(s, frame{typ: frEvict, off: int64(epoch), count: int64(len(words))}, words); err != nil {
+			// A crash raced with the proposal; it accounts the seat.
+			if err = t.sendFailed(s, err); !errors.Is(err, pgas.ErrEvicted) {
 				return nil, err
 			}
-			t.peerCrashed(s, err) // raced with its death; accounts the seat
-			continue
 		}
 	}
 	select {
@@ -1168,7 +1103,7 @@ func (t *Transport) Abort(cause string) {
 			if nd == t.cfg.Node || t.peers[nd] == nil {
 				continue
 			}
-			_ = t.sendFrame(nd, frAbort, pgas.Win{}, int64(len(cause)), int64(len(payload)), 0, payload, true)
+			_ = t.sendFrame(nd, frame{typ: frAbort, off: int64(len(cause)), count: int64(len(payload))}, payload)
 		}
 	})
 }
@@ -1182,17 +1117,10 @@ func (t *Transport) Close() error {
 	t.closed.Store(true)
 	for nd, p := range t.peers {
 		if nd != t.cfg.Node && p != nil {
-			_ = t.sendFrame(nd, frGoodbye, pgas.Win{}, 0, 0, 0, nil, true)
+			_ = t.sendFrame(nd, frame{typ: frGoodbye}, nil)
 		}
 	}
-	if t.ln != nil {
-		t.ln.Close()
-	}
-	for nd, p := range t.peers {
-		if nd != t.cfg.Node && p != nil {
-			p.conn.Close()
-		}
-	}
+	t.hangUp()
 	return nil
 }
 
@@ -1207,83 +1135,18 @@ func (t *Transport) Fail() error {
 	t.selfEvicted = true
 	t.rdvMu.Unlock()
 	t.closed.Store(true)
+	t.hangUp()
+	return nil
+}
+
+// hangUp closes the listener and every mesh connection.
+func (t *Transport) hangUp() {
 	if t.ln != nil {
 		t.ln.Close()
 	}
 	for nd, p := range t.peers {
 		if nd != t.cfg.Node && p != nil {
 			p.conn.Close()
-		}
-	}
-	return nil
-}
-
-// --- local (self-node) data plane, shared with the serve paths ---
-
-func (t *Transport) localGet(th *pgas.Thread, op string, w pgas.Win, off int64, dst []int64) error {
-	t.rmu.Lock()
-	defer t.rmu.Unlock()
-	data, ok := t.window(w, off, int64(len(dst)))
-	if !ok {
-		return pgas.Errorf(pgas.ErrMisuse, tid(th), op, "window %+v [%d,%d) not exposed", w, off, off+int64(len(dst)))
-	}
-	readWin(w, data, off, dst)
-	return nil
-}
-
-func (t *Transport) localPut(th *pgas.Thread, op string, w pgas.Win, off int64, src []int64) error {
-	t.rmu.Lock()
-	defer t.rmu.Unlock()
-	data, ok := t.window(w, off, int64(len(src)))
-	if !ok {
-		return pgas.Errorf(pgas.ErrMisuse, tid(th), op, "window %+v [%d,%d) not exposed", w, off, off+int64(len(src)))
-	}
-	writeWin(w, data, off, src)
-	return nil
-}
-
-func (t *Transport) localPutMin(th *pgas.Thread, op string, w pgas.Win, off int64, v int64) (bool, error) {
-	t.rmu.Lock()
-	defer t.rmu.Unlock()
-	data, ok := t.window(w, off, 1)
-	if !ok {
-		return false, pgas.Errorf(pgas.ErrMisuse, tid(th), op, "window %+v off %d not exposed", w, off)
-	}
-	return minWin(data, off, v), nil
-}
-
-// readWin snapshots window words. SharedArray windows are concurrently
-// touched by the owner's threads through the runtime's atomic fast paths,
-// so they are read atomically; plan and reducer windows are only accessed
-// in barrier-separated phases and copy plainly under rmu.
-func readWin(w pgas.Win, data []int64, off int64, dst []int64) {
-	if w.Kind == pgas.WinArray {
-		for j := range dst {
-			dst[j] = atomic.LoadInt64(&data[off+int64(j)])
-		}
-		return
-	}
-	copy(dst, data[off:off+int64(len(dst))])
-}
-
-func writeWin(w pgas.Win, data []int64, off int64, src []int64) {
-	if w.Kind == pgas.WinArray {
-		for j, v := range src {
-			atomic.StoreInt64(&data[off+int64(j)], v)
-		}
-		return
-	}
-	copy(data[off:off+int64(len(src))], src)
-}
-
-func minWin(data []int64, off, v int64) bool {
-	for {
-		cur := atomic.LoadInt64(&data[off])
-		if v >= cur {
-			return false
-		}
-		if atomic.CompareAndSwapInt64(&data[off], cur, v) {
-			return true
 		}
 	}
 }
@@ -1311,67 +1174,50 @@ func (t *Transport) readLoop(nd int, p *peerConn) {
 			t.connDown(nd, err)
 			return
 		}
-		typ := hdr[0]
-		w := pgas.Win{
-			Kind: pgas.WinKind(hdr[1]),
-			ID:   binary.LittleEndian.Uint32(hdr[4:8]),
-			Sub:  int32(binary.LittleEndian.Uint32(hdr[8:12])),
-		}
-		status := binary.LittleEndian.Uint16(hdr[2:4])
-		off := int64(binary.LittleEndian.Uint64(hdr[12:20]))
-		count := int64(binary.LittleEndian.Uint64(hdr[20:28]))
-		reqID := binary.LittleEndian.Uint64(hdr[28:36])
-		crc := binary.LittleEndian.Uint32(hdr[36:40])
-
+		f := decodeFrame(hdr)
+		var raw []byte
 		var payload []int64
-		hasPayload := typ == frPut || typ == frPutMin || typ == frAbort || typ == frEvict ||
-			(typ == frGetResp && count > 0)
-		if hasPayload {
-			if count < 0 || count > (1<<31) {
-				t.Abort(fmt.Sprintf("%s: frame type %d count %d out of range", t.edge(nd), typ, count))
+		if f.typ != frGet && f.count != 0 {
+			if f.count < 0 || f.count > (1<<31) {
+				t.Abort(fmt.Sprintf("%s: frame type %d count %d out of range", t.edge(nd), f.typ, f.count))
 				return
 			}
-			n := int(count)
-			raw := make([]byte, n*8)
+			raw = make([]byte, f.count*8)
 			if _, err := io.ReadFull(br, raw); err != nil {
 				t.connDown(nd, err)
 				return
 			}
-			if crc32.Checksum(raw, castagnoli) != crc {
-				t.frameCorrupt(nd, typ, reqID)
+			if crc32.Checksum(raw, castagnoli) != f.crc {
+				t.frameCorrupt(nd, f)
 				continue
 			}
-			payload = make([]int64, n)
+			payload = make([]int64, f.count)
 			for j := range payload {
 				payload[j] = int64(binary.LittleEndian.Uint64(raw[j*8:]))
 			}
 		}
 
-		switch typ {
+		switch f.typ {
 		case frPut:
-			t.applyPut(nd, w, off, payload)
+			t.applyPut(nd, f, payload)
 		case frGet:
-			t.serveGet(nd, w, off, count, reqID)
+			t.serveGet(nd, f)
 		case frPutMin:
-			t.servePutMin(nd, w, off, payload, reqID)
+			t.servePutMin(nd, f, payload)
 		case frGetResp:
-			t.resolve(reqID, wireResp{vals: payload, status: status})
+			t.resolve(f.reqID, wireResp{vals: payload, status: f.status})
 		case frPutMinResp:
-			t.resolve(reqID, wireResp{status: status})
+			t.resolve(f.reqID, wireResp{status: f.status})
 		case frBarrier:
-			t.applyBarrier(uint64(w.ID), uint64(off), math.Float64frombits(reqID))
+			t.applyBarrier(uint64(f.win.ID), uint64(f.off), math.Float64frombits(f.reqID))
 		case frEvict:
-			t.applyEvict(nd, uint64(off), payload)
+			t.applyEvict(nd, uint64(f.off), payload)
 		case frAbort:
-			b := make([]byte, len(payload)*8)
-			for j, v := range payload {
-				binary.LittleEndian.PutUint64(b[j*8:], uint64(v))
+			n := f.off // byte length rides the offset field
+			if n < 0 || n > int64(len(raw)) {
+				n = int64(len(raw))
 			}
-			n := off // byte length rides the offset field
-			if n < 0 || n > int64(len(b)) {
-				n = int64(len(b))
-			}
-			t.Abort(fmt.Sprintf("node %d aborted: %s", nd, string(b[:n])))
+			t.Abort(fmt.Sprintf("node %d aborted: %s", nd, raw[:n]))
 		case frGoodbye:
 			t.departed[nd].Store(true)
 		case frHello:
@@ -1379,7 +1225,7 @@ func (t *Transport) readLoop(nd int, p *peerConn) {
 			t.Abort(fmt.Sprintf("%s: unexpected HELLO", t.edge(nd)))
 			return
 		default:
-			t.Abort(fmt.Sprintf("%s: unknown frame type %d", t.edge(nd), typ))
+			t.Abort(fmt.Sprintf("%s: unknown frame type %d", t.edge(nd), f.typ))
 			return
 		}
 	}
@@ -1389,65 +1235,52 @@ func (t *Transport) readLoop(nd int, p *peerConn) {
 // to its waiter as ErrCorrupt (the caller decides whether to retry above
 // the seam); a corrupt one-way frame poisons the transport — its effect is
 // lost and the region cannot be trusted.
-func (t *Transport) frameCorrupt(nd int, typ uint8, reqID uint64) {
+func (t *Transport) frameCorrupt(nd int, f frame) {
 	err := pgas.Errorf(pgas.ErrCorrupt, -1, "wire recv",
-		"checksum mismatch on frame type %d from node %d at node %d", typ, nd, t.cfg.Node)
-	if typ == frGetResp {
-		t.resolve(reqID, wireResp{err: err})
+		"checksum mismatch on frame type %d from node %d at node %d", f.typ, nd, t.cfg.Node)
+	if f.typ == frGetResp {
+		t.resolve(f.reqID, wireResp{err: err})
 		return
 	}
 	t.Abort(err.Error())
 }
 
-func (t *Transport) applyPut(nd int, w pgas.Win, off int64, src []int64) {
+func (t *Transport) applyPut(nd int, f frame, src []int64) {
 	t.rmu.Lock()
-	data, ok := t.window(w, off, int64(len(src)))
-	if ok {
-		writeWin(w, data, off, src)
-	}
+	err := t.wins.Put(nil, "wire serve", f.win, f.off, src)
 	t.rmu.Unlock()
-	if !ok {
-		t.Abort(fmt.Sprintf("node %d put to unexposed window %+v [%d,%d) at node %d", nd, w, off, off+int64(len(src)), t.cfg.Node))
+	if err != nil {
+		t.Abort(fmt.Sprintf("node %d put at node %d: %v", nd, t.cfg.Node, err))
 	}
 }
 
-func (t *Transport) serveGet(nd int, w pgas.Win, off, count int64, reqID uint64) {
+// serveGet and servePutMin answer off the reader goroutine: the reader
+// keeps draining while bulk responses flow the other way.
+func (t *Transport) serveGet(nd int, f frame) {
 	t.rmu.Lock()
-	data, ok := t.window(w, off, count)
-	var snap []int64
-	if ok {
-		snap = make([]int64, count)
-		readWin(w, data, off, snap)
-	}
+	snap, err := t.wins.Snapshot(nil, "wire serve", f.win, f.off, f.count)
 	t.rmu.Unlock()
-	// Answer off the reader goroutine over the snapshot: the reader keeps
-	// draining while bulk responses flow the other way.
-	go func() {
-		if !ok {
-			_ = t.sendStatus(nd, frGetResp, stBadWindow, 0, reqID, nil)
-			return
-		}
-		_ = t.sendStatus(nd, frGetResp, stOK, count, reqID, snap)
-	}()
+	resp := frame{typ: frGetResp, count: int64(len(snap)), reqID: f.reqID}
+	if err != nil {
+		resp.status = stBadWindow
+	}
+	go func() { _ = t.sendFrame(nd, resp, snap) }()
 }
 
-func (t *Transport) servePutMin(nd int, w pgas.Win, off int64, payload []int64, reqID uint64) {
-	status := stBadWindow
+func (t *Transport) servePutMin(nd int, f frame, payload []int64) {
+	resp := frame{typ: frPutMinResp, status: stBadWindow, reqID: f.reqID}
 	if len(payload) == 1 {
 		t.rmu.Lock()
-		data, ok := t.window(w, off, 1)
-		if ok {
-			if minWin(data, off, payload[0]) {
-				status = stStored
-			} else {
-				status = stOK
-			}
-		}
+		stored, err := t.wins.PutMin(nil, "wire serve", f.win, f.off, payload[0])
 		t.rmu.Unlock()
+		switch {
+		case stored:
+			resp.status = stStored
+		case err == nil:
+			resp.status = stOK
+		}
 	}
-	go func() {
-		_ = t.sendStatus(nd, frPutMinResp, status, 0, reqID, nil)
-	}()
+	go func() { _ = t.sendFrame(nd, resp, nil) }()
 }
 
 func (t *Transport) applyBarrier(epoch, gen uint64, v float64) {

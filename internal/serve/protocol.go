@@ -67,8 +67,9 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame, validating magic, version, length bound, and
-// checksum. A failed checksum classifies as pgas.ErrCorrupt.
+// ReadFrame reads one frame, validating magic, version, reserved bytes,
+// length bound, and checksum. A failed checksum classifies as
+// pgas.ErrCorrupt.
 func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	var h [headerSize]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
@@ -79,6 +80,9 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	}
 	if h[4] != protoVersion {
 		return 0, nil, fmt.Errorf("pgasd: protocol version %d, want %d", h[4], protoVersion)
+	}
+	if h[6] != 0 || h[7] != 0 {
+		return 0, nil, pgas.Errorf(pgas.ErrCorrupt, -1, "pgasd.frame", "reserved bytes %#x not zero", h[6:8])
 	}
 	n := binary.LittleEndian.Uint32(h[8:12])
 	if n > MaxFrame {
